@@ -19,9 +19,6 @@ class AtomicInt:
     def load(self) -> int:
         return self._value  # single read, GIL-atomic
 
-    def store(self, value: int) -> None:
-        self._value = value
-
     def add(self, delta: int = 1) -> int:
         with self._lock:
             self._value += delta

@@ -22,9 +22,6 @@ class HistoryEvent:
     start_ns: int
     end_ns: int
 
-    def overlaps(self, other: "HistoryEvent") -> bool:
-        return not (self.end_ns < other.start_ns or other.end_ns < self.start_ns)
-
 
 class ThreadLog:
     """Append-only event log owned by a single worker thread."""

@@ -1,13 +1,17 @@
 """Sequential red-black tree with soft-deletion marks and compaction.
 
+The tree keeps the set of its soft-deleted keys, so compaction unlinks just
+those nodes with the ordinary delete rebalancing, O(d log n) for d marked
+nodes, instead of rebuilding the whole tree.
+
 Structural mutation (insert, delete, compact) assumes exclusive mutation
 rights: exactly one writer thread and no concurrent readers. That exclusion is
 the job of the combining runtime, never of this module. ``get``,
 ``soft_delete`` and ``soft_insert`` may run concurrently with each other: the
 per-node deletion mark is the only mutable state they touch, and mark flips
-(plus the live counter) are serialized by ``mark_lock``. Readers never acquire
-the lock; they rely on the mark write becoming visible no earlier than the
-value write that precedes it.
+(plus the live counter and the marked-key set) are serialized by
+``mark_lock``. Readers never acquire the lock; they rely on the mark write
+becoming visible no earlier than the value write that precedes it.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class RBTree:
         self.physical_count = 0
         self.live_count = 0
         self.max_nodes = max_nodes
+        # Keys of the soft-deleted nodes; every mark flip keeps it current.
+        self._marked: set = set()
         # Reentrant so callers can bundle a policy decision with the flip it
         # guards (budget check + soft insert, stamping, ...).
         self.mark_lock = threading.RLock()
@@ -130,6 +136,7 @@ class RBTree:
                 return False
             self._flip_hook(key, True)
             node.is_deleted = True
+            self._marked.add(key)
             self.live_count -= 1
             return True
 
@@ -148,6 +155,7 @@ class RBTree:
                 node.value = value
                 self._flip_hook(key, False)
                 node.is_deleted = False
+                self._marked.discard(key)
                 self.live_count += 1
                 return True
             node.value = value
@@ -178,6 +186,7 @@ class RBTree:
                     node.value = value
                     if node.is_deleted:
                         node.is_deleted = False
+                        self._marked.discard(key)
                         self.live_count += 1
                 return False
             parent = node
@@ -201,21 +210,21 @@ class RBTree:
         node = self.find_node(key)
         if node is None:
             return False
+        self._marked.discard(key)
         self._delete_node(node)
         return True
 
     def compact(self) -> int:
-        """Rebuild the tree from live nodes only; returns the number removed.
+        """Unlink every soft-deleted node; returns the number removed.
 
-        Runs inside stop-the-world: no concurrent readers exist, so wholesale
-        replacement of the structure is safe.
+        Each marked key is deleted in place with the ordinary rebalancing, so
+        d marked nodes cost O(d log n) and no node is allocated. Runs inside
+        stop-the-world: no concurrent readers or mark flips exist.
         """
-        items = self.live_items()
-        removed = self.physical_count - len(items)
-        self.root = _build_balanced(items)
-        self.physical_count = len(items)
-        self.live_count = len(items)
-        return removed
+        marked, self._marked = self._marked, set()
+        for key in marked:
+            self._delete_node(self.find_node(key))
+        return len(marked)
 
     # ------------------------------------------------------------------
     # traversal / inspection
@@ -265,6 +274,7 @@ class RBTree:
                 )
             if self.live_count != 0:
                 report.violations.append(f"empty tree but live_count={self.live_count}")
+            self._check_marked(set(), report)
             return report
 
         if self.root.color != BLACK:
@@ -273,10 +283,13 @@ class RBTree:
             report.violations.append("root has a parent")
 
         counts = [0, 0]  # physical, live
+        marked = set()
 
         def walk(node: Node, lo: Optional[int], hi: Optional[int]) -> int:
             counts[0] += 1
-            if not node.is_deleted:
+            if node.is_deleted:
+                marked.add(node.key)
+            else:
                 counts[1] += 1
             if lo is not None and node.key <= lo:
                 report.violations.append(f"BST order broken at key {node.key}")
@@ -309,7 +322,15 @@ class RBTree:
             report.violations.append(
                 f"live_count={self.live_count} but {counts[1]} live reachable"
             )
+        self._check_marked(marked, report)
         return report
+
+    def _check_marked(self, reachable: set, report: ValidationReport) -> None:
+        stray = self._marked ^ reachable
+        if stray:
+            report.violations.append(
+                f"marked set and soft-deleted nodes differ on keys {sorted(stray)}"
+            )
 
     # ------------------------------------------------------------------
     # rebalancing internals

@@ -24,7 +24,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -581,35 +581,12 @@ class CombinerEngine:
                 self._delegate(rec, ACT_SOFT_DELETE,
                                REL_MARK if per_thread else REL_OPS)
         else:  # INSERT
-            if tree.find_node(rec.key) is not None:
+            if tree.find_node(rec.key) is None:
+                self._physical_insert(rec)
+            else:
                 self._count_delegation(rec, per_thread)
                 self._delegate(rec, ACT_SOFT_INSERT,
                                REL_MARK if per_thread else REL_OPS)
-                return
-            # Physically absent. Reject without stopping the world if the
-            # budget is already full; the check is final once taken under
-            # mark_lock (concurrent soft ops serialize on the same lock).
-            with tree.mark_lock:
-                if tree.live_count >= self.max_live:
-                    self._log(OpKind.INSERT, rec.key, rec.value, False)
-                    rejected = True
-                else:
-                    rejected = False
-            if rejected:
-                self._finish(rec, False)
-                return
-            self._enter_stop_world()
-            with tree.mark_lock:  # uncontended now; taken for log stamping
-                if tree.live_count >= self.max_live:
-                    outcome = False  # a concurrent revive filled the budget
-                else:
-                    outcome = tree.insert(rec.key, rec.value)
-                self._log(OpKind.INSERT, rec.key, rec.value, outcome)
-            if tree.physical_count > tree.max_nodes:
-                tree.compact()
-                self.stats.compactions += 1
-            self._finish(rec, outcome)
-            self._exit_stop_world()
 
     # Future-work variant: the combiner executes writes itself; callers are
     # already asleep and get exactly one wakeup.
@@ -626,25 +603,37 @@ class CombinerEngine:
                 self._log(OpKind.DELETE, rec.key, None, outcome)
             self._finish(rec, outcome)
             return
-        # INSERT
+        # INSERT; only the combiner mutates, so presence is stable here
+        node = tree.find_node(rec.key)
+        if node is None:
+            self._physical_insert(rec)
+            return
         with tree.mark_lock:
-            node = tree.find_node(rec.key)
-            if node is not None:
-                if node.is_deleted and tree.live_count >= self.max_live:
-                    outcome = False
-                else:
-                    outcome = tree.soft_insert(rec.key, rec.value)
-                self._log(OpKind.INSERT, rec.key, rec.value, outcome)
-                self._finish(rec, outcome)
-                return
-            if tree.live_count >= self.max_live:
-                self._log(OpKind.INSERT, rec.key, rec.value, False)
-                self._finish(rec, False)
-                return
-        self._enter_stop_world()
-        with tree.mark_lock:
-            if tree.live_count >= self.max_live:
+            if node.is_deleted and tree.live_count >= self.max_live:
                 outcome = False
+            else:
+                outcome = tree.soft_insert(rec.key, rec.value)
+            self._log(OpKind.INSERT, rec.key, rec.value, outcome)
+        self._finish(rec, outcome)
+
+    # Soft variants: a physically absent key is inserted behind stop-world,
+    # and the tree compacted if the new node takes it over its budget.
+    def _physical_insert(self, rec: OpRecord) -> None:
+        tree = self.tree
+        # Reject without stopping the world if the budget is already full;
+        # the check is final once taken under mark_lock (concurrent soft ops
+        # serialize on the same lock).
+        with tree.mark_lock:
+            full = tree.live_count >= self.max_live
+            if full:
+                self._log(OpKind.INSERT, rec.key, rec.value, False)
+        if full:
+            self._finish(rec, False)
+            return
+        self._enter_stop_world()
+        with tree.mark_lock:  # uncontended now; taken for log stamping
+            if tree.live_count >= self.max_live:
+                outcome = False  # a concurrent revive filled the budget
             else:
                 outcome = tree.insert(rec.key, rec.value)
             self._log(OpKind.INSERT, rec.key, rec.value, outcome)

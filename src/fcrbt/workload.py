@@ -4,7 +4,7 @@ operation streams drawn from a percentage mix over a uniform key range."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .ops import Op, OpKind

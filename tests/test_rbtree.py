@@ -360,6 +360,46 @@ def test_compact_all_marked_gives_empty_tree():
     _assert_valid(t)
 
 
+def test_compact_after_physical_delete_of_marked_key_removes_nothing():
+    t = RBTree()
+    for k in range(8):
+        t.insert(k, k)
+    t.soft_delete(3)
+    assert t.delete(3) is True
+    _assert_valid(t)
+    assert t.compact() == 0
+    assert t.physical_count == t.live_count == 7
+    _assert_valid(t)
+
+
+def test_key_revived_by_insert_survives_compact():
+    t = RBTree()
+    for k in range(8):
+        t.insert(k, k)
+    t.soft_delete(5)
+    t.soft_delete(6)
+    assert t.insert(5, 55) is False
+    _assert_valid(t)
+    assert t.compact() == 1
+    assert t.get(5) == 55
+    assert t.find_node(6) is None
+    _assert_valid(t)
+
+
+def test_compact_one_marked_key_of_many_keeps_the_rest():
+    rng = random.Random(7)
+    keys = list(range(1000))
+    rng.shuffle(keys)
+    t = RBTree()
+    for k in keys:
+        t.insert(k, k * 3)
+    t.soft_delete(keys[500])
+    assert t.compact() == 1
+    assert t.physical_count == t.live_count == 999
+    assert t.live_items() == [(k, k * 3) for k in range(1000) if k != keys[500]]
+    _assert_valid(t)
+
+
 def test_bulk_build_every_size():
     for n in list(range(513)) + [1000, 1024, 1500, 2048]:
         t = RBTree()
@@ -407,6 +447,17 @@ def test_validator_flags_count_drift():
     t.insert(1, 1)
     t.live_count = 5
     assert not t.validate().ok
+
+
+def test_validator_flags_marked_set_drift():
+    t = RBTree()
+    for k in (1, 2, 3):
+        t.insert(k, 0)
+    t.soft_delete(2)
+    assert t.validate().ok
+    t.find_node(2).is_deleted = False  # a flip that bypasses the set
+    t.live_count += 1
+    assert any("marked set" in v for v in t.validate().violations)
 
 
 def test_validator_flags_order_violation():

@@ -1,6 +1,7 @@
 """Concurrent stress runs: deadlock watchdog, post-run validation, effect-log
 replay, determinism, and the physical-budget invariant under churn."""
 
+import sys
 import threading
 
 import pytest
@@ -34,6 +35,39 @@ def test_v6_churn_keeps_physical_budget_after_every_stop_world():
 def test_stress_replay_matches_for_every_variant(variant):
     report = run_stress(variant, threads=4, ops_per_thread=2500, seed=3)
     assert report.ok, (report.violations, report.errors)
+    assert report.exclusion_violations == 0
+
+
+@pytest.mark.parametrize("variant", ["V5", "V6", "FutureWork"])
+def test_marked_set_survives_fast_switching(variant):
+    # Callers flip marks (and the tree's marked-key set) while the combiner
+    # compacts; a 10 us switch interval interleaves them finely. The run goes
+    # on a helper thread so that no join, the combiner's included, is
+    # unbounded.
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(run_stress(variant, threads=4, ops_per_thread=3000,
+                                      seed=13, max_nodes=16, key_max=32,
+                                      watchdog_secs=60.0))
+        except Exception as exc:  # handed to the test thread below
+            outcome.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(90.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive(), "stress run did not finish within 90 s"
+    report = outcome[0]
+    assert not isinstance(report, Exception), repr(report)
+    assert report.validate_ok, report.violations
+    assert report.replay_ok and not report.errors, report.errors
+    assert report.compactions >= 1
     assert report.exclusion_violations == 0
 
 
