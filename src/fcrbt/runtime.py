@@ -2,11 +2,16 @@
 strategies, pending-operation accounting and stop-world signalling.
 
 One dedicated combiner thread owns all structural tree mutation. Callers
-publish an OpRecord, spin until the combiner claims it (the handoff ack),
-then wait out the rest per the variant's strategy. Delegated operations
-(gets, soft writes) are executed by their callers; the combiner gates any
-structural mutation on the matching pending-operation accounting so no
-delegated op overlaps it.
+publish an OpRecord and wait in one loop, _wait_phase2, that reads a row of
+data from their WaitStrategy: how many yield-polls to make, which stop flag
+to sleep out while raised (none, the engine's or their own), and whether the
+park naps along the backoff schedule or on the fixed backstop. The handoff
+ack is that loop with the SPIN row up to CLAIMED; the future-work variant
+parks once until DONE. Delegated operations (gets, soft writes) are executed
+by their callers; the combiner gates any structural mutation on the matching
+pending-operation accounting so no delegated op overlaps it. The soft
+variants classify each write once, then delegate its action or, in the
+future-work variant, have the combiner run the same action.
 
 Every spin loop yields with time.sleep(0): on a single core under the GIL,
 an unyielding spinner would otherwise hold the interpreter for a whole
@@ -30,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from .atomics import AtomicInt
 from .ops import OpKind
-from .rbtree import RBTree
+from .rbtree import Node, RBTree
 
 # OpRecord.status values; strictly increasing along the record's lifecycle.
 PENDING = 0
@@ -67,19 +72,36 @@ REL_MARK = 3
 # Backoff sleep schedule, milliseconds; index clamps at the last entry.
 BACKOFF_MS = (1, 3, 10, 20, 50, 100, 200, 500, 1000, 3033, 5000)
 
-
-class WaitStrategy(Enum):
-    SLEEP_AWAKE = "sleep-awake"
-    SPIN = "spin"
-    BACKOFF_SPIN = "backoff-spin"
-    STOP_WORLD_SLEEP = "stop-world-sleep"
-    PER_THREAD_FLAG = "per-thread-flag"
+# Nap of every park that does not back off. It is a backstop against a missed
+# notify, not a correctness requirement.
+BACKSTOP_MS = (50,)
 
 
 class StopWorldScope(Enum):
     NONE = "none"
     GLOBAL = "global"
     PER_THREAD = "per-thread"
+
+
+class WaitStrategy(Enum):
+    """How a caller waits, as one row per member: ``spins`` yield-polls
+    before parking; ``sleeps_out``, the scope whose raised stop flag it sleeps
+    out (GLOBAL: the engine's, PER_THREAD: its own); ``backoff``, whether its
+    park naps along ``backoff_ms`` rather than ``BACKSTOP_MS``."""
+
+    SLEEP_AWAKE = ("sleep-awake", 0, StopWorldScope.NONE, False)
+    SPIN = ("spin", SPIN_BUDGET, StopWorldScope.NONE, False)
+    BACKOFF_SPIN = ("backoff-spin", 0, StopWorldScope.NONE, True)
+    STOP_WORLD_SLEEP = ("stop-world-sleep", SPIN_BUDGET, StopWorldScope.GLOBAL, False)
+    PER_THREAD_FLAG = ("per-thread-flag", SPIN_BUDGET, StopWorldScope.PER_THREAD, False)
+
+    def __new__(cls, value: str, spins: int, sleeps_out: StopWorldScope, backoff: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.spins = spins
+        member.sleeps_out = sleeps_out
+        member.backoff = backoff
+        return member
 
 
 @dataclass(frozen=True)
@@ -96,10 +118,26 @@ class VariantConfig:
     backoff_ms: Tuple[int, ...] = BACKOFF_MS
 
     def __post_init__(self):
+        scope = self.stop_world_scope
         if not self.backoff_ms:
             raise ValueError("backoff schedule must be non-empty")
-        if self.soft_ops and self.stop_world_scope is StopWorldScope.NONE:
+        if self.soft_ops and scope is StopWorldScope.NONE:
             raise ValueError("soft ops require a stop-world scope")
+        # A bypassing get is fenced off a stop-world mutation only by its
+        # caller's stop flag and pending mark.
+        if self.gets_bypass_queue and scope is not StopWorldScope.PER_THREAD:
+            raise ValueError("gets that bypass the queue require a per-thread stop-world")
+        if self.future_work and not self.soft_ops:
+            raise ValueError("the future-work variant requires soft ops")
+        for wait in (self.get_wait, self.write_wait):
+            if wait.sleeps_out not in (StopWorldScope.NONE, scope):
+                raise ValueError(f"{wait.value} wait needs a {wait.sleeps_out.value} stop-world")
+
+
+def insert_refused(tree: RBTree, node: Optional[Node], budget: int) -> bool:
+    """The live budget rule: an insert that would add a live key (its node is
+    absent or soft-deleted) fails once ``live_count`` has reached ``budget``."""
+    return (node is None or node.is_deleted) and tree.live_count >= budget
 
 
 class RegistrationError(RuntimeError):
@@ -141,15 +179,28 @@ class OpRecord:
         self.owner = owner
 
 
-class ThreadRegistration:
-    __slots__ = ("thread_id", "thread", "stop_flag", "pending_mark", "cond", "record")
+class StopSignal:
+    """A stop-world flag plus the condition its waiters sleep on. The flag is
+    raised bare and lowered under the lock with a notify, so no waiter that
+    saw it raised can miss the lowering."""
+
+    __slots__ = ("flag", "cond")
+
+    def __init__(self):
+        self.flag = False
+        self.cond = threading.Condition()
+
+
+class ThreadRegistration(StopSignal):
+    """A registered caller; a per-thread stop-world raises its own signal."""
+
+    __slots__ = ("thread_id", "thread", "pending_mark", "record")
 
     def __init__(self, thread_id: int, thread: threading.Thread):
+        super().__init__()
         self.thread_id = thread_id
         self.thread = thread  # liveness disambiguates reused thread ids
-        self.stop_flag = False
         self.pending_mark = False
-        self.cond = threading.Condition()
         # one in-flight op per thread, so the record is reusable
         self.record = OpRecord(self)
 
@@ -192,8 +243,10 @@ class CombinerEngine:
 
         self.pending_gets = AtomicInt()  # gate for plain-variant writes
         self.pending_ops = AtomicInt()  # global stop-world drain counter
-        self.sw_flag = False
-        self.sw_cond = threading.Condition()
+        self.stop = StopSignal()  # raised by a global stop-world
+        self._per_thread = config.stop_world_scope is StopWorldScope.PER_THREAD
+        soft_release = REL_MARK if self._per_thread else REL_OPS
+        self._release = soft_release if config.soft_ops else REL_GETS  # see _delegate
         # Combiner parking. A timed nap in the combiner is poison here: the
         # kernel delays its wakeup by multiple ms while caller threads spin,
         # so the combiner either yields (queue recently active) or parks on
@@ -246,7 +299,7 @@ class CombinerEngine:
                 )
             reg = ThreadRegistration(ident, thread)
             # A thread that registers mid-stop-world must start out halted.
-            reg.stop_flag = self._sw_active
+            reg.flag = self._sw_active
             self.registrations[ident] = reg
             self._reg_list.append(reg)
         return reg
@@ -275,14 +328,15 @@ class CombinerEngine:
             with self._qcond:
                 self._qcond.notify()
 
-        if self.config.future_work:
-            self._wait_done_sleeping(rec)
+        cfg = self.config
+        if cfg.future_work:
+            # Single synchronization episode: no pickup poll, straight to sleep.
+            self._park_until(rec, DONE)
         else:
             self._wait_claimed(rec)
-            if kind == OpKind.GET:
-                self._wait_phase2(self.config.get_wait, rec, reg)
-            else:
-                self._wait_phase2(self.config.write_wait, rec, reg)
+            self._wait_phase2(
+                cfg.get_wait if kind == OpKind.GET else cfg.write_wait, rec, reg
+            )
             if rec.status == CALLER_EXECUTES:
                 self._execute_delegated(rec, reg)
         if rec.shutdown:
@@ -293,13 +347,14 @@ class CombinerEngine:
     # wait phases (caller side)
     # ------------------------------------------------------------------
 
-    def _park_until(self, rec: OpRecord, threshold: int) -> None:
-        # Blocking tail of every caller wait. Pairs with _advance on the
-        # combiner side: parked is set inside the lock before re-checking
-        # status, so the combiner either observes parked and notifies, or we
-        # observe its status store and never wait. The timeout is a backstop,
-        # not a correctness requirement.
+    def _park_until(self, rec: OpRecord, threshold: int, naps=BACKSTOP_MS) -> None:
+        # Blocking tail of every caller wait; each failed status check naps
+        # the next entry of `naps` (clamped), cut short by a notify. Pairs
+        # with _advance on the combiner side: parked is set inside the lock
+        # before re-checking status, so the combiner either observes parked
+        # and notifies, or we observe its status store and never wait.
         cond = rec.cond
+        attempt = 0
         with cond:
             rec.parked = 1
             try:
@@ -315,7 +370,8 @@ class CombinerEngine:
                             rec.shutdown = True
                             rec.status = DONE
                             return
-                    cond.wait(0.05)
+                    cond.wait(backoff_timeout(naps, attempt))
+                    attempt += 1
             finally:
                 rec.parked = 0
 
@@ -323,96 +379,51 @@ class CombinerEngine:
         # Handoff ack: every queue variant polls for the combiner's pickup,
         # then parks. Yield-polling past the budget is counterproductive: a
         # runnable-but-descheduled peer needs us off the core to finish.
-        sleep = time.sleep
-        for _ in range(SPIN_BUDGET):
-            if rec.status != PENDING:
-                return
-            sleep(0)
-        self._park_until(rec, CLAIMED)
+        self._wait_phase2(WaitStrategy.SPIN, rec, None, CLAIMED)
 
-    def _wait_done_sleeping(self, rec: OpRecord) -> None:
-        # Single synchronization episode: no pickup spin, straight to sleep.
-        self._park_until(rec, DONE)
-
-    def _wait_phase2(self, strategy: WaitStrategy, rec: OpRecord, reg) -> None:
+    def _wait_phase2(
+        self, strategy: WaitStrategy, rec: OpRecord, reg, threshold: int = CALLER_EXECUTES
+    ) -> None:
+        # The one caller wait loop, driven by the strategy's row: yield-poll
+        # up to its budget, sleep out its stop flag whenever that is raised
+        # (the polls start over afterwards), then park along its nap schedule.
+        scope = strategy.sleeps_out
+        stop = None if scope is StopWorldScope.NONE else (
+            self.stop if scope is StopWorldScope.GLOBAL else reg)
+        spins = strategy.spins
+        polls = 0
         sleep = time.sleep
-        if strategy is WaitStrategy.SPIN:
-            for _ in range(SPIN_BUDGET):
-                if rec.status >= CALLER_EXECUTES:
-                    return
+        while rec.status < threshold:
+            if stop is not None and stop.flag:
+                self._sleep_out(stop, lambda: rec.status < threshold)
+                polls = 0
+            elif polls < spins:
+                polls += 1
                 sleep(0)
-            self._park_until(rec, CALLER_EXECUTES)
-        elif strategy is WaitStrategy.SLEEP_AWAKE:
-            self._park_until(rec, CALLER_EXECUTES)
-        elif strategy is WaitStrategy.BACKOFF_SPIN:
-            # Each failed check sleeps the next schedule entry (clamped), as
-            # a timeout-bounded wait so completion can cut the nap short.
-            sched = self.config.backoff_ms
-            i = 0
-            cond = rec.cond
-            with cond:
-                rec.parked = 1
-                try:
-                    while rec.status < CALLER_EXECUTES:
-                        cond.wait(backoff_timeout(sched, i))
-                        i += 1
-                finally:
-                    rec.parked = 0
-        elif strategy is WaitStrategy.STOP_WORLD_SLEEP:
-            # Poll, but sleep out any stop-world on the shared condition.
-            spins = 0
-            while rec.status < CALLER_EXECUTES:
-                if self.sw_flag:
-                    with self.sw_cond:
-                        while self.sw_flag and rec.status < CALLER_EXECUTES:
-                            self.sw_cond.wait(0.05)
-                    spins = 0
-                elif spins < SPIN_BUDGET:
-                    spins += 1
-                    sleep(0)
-                else:
-                    self._park_until(rec, CALLER_EXECUTES)
-        else:  # PER_THREAD_FLAG
-            spins = 0
-            while rec.status < CALLER_EXECUTES:
-                if reg.stop_flag:
-                    with reg.cond:
-                        while reg.stop_flag and rec.status < CALLER_EXECUTES:
-                            reg.cond.wait(0.05)
-                    spins = 0
-                elif spins < SPIN_BUDGET:
-                    spins += 1
-                    sleep(0)
-                else:
-                    self._park_until(rec, CALLER_EXECUTES)
+            else:
+                naps = self.config.backoff_ms if strategy.backoff else BACKSTOP_MS
+                self._park_until(rec, threshold, naps)
+                return
+
+    def _sleep_out(self, stop: StopSignal, waiting) -> None:
+        # Sleep while the stop flag is raised and waiting() holds. Pairs with
+        # _exit_stop_world, which lowers the flag and notifies under the lock.
+        cond = stop.cond
+        with cond:
+            while stop.flag and waiting():
+                cond.wait(BACKSTOP_MS[0] / 1000.0)
 
     # ------------------------------------------------------------------
     # delegated execution (caller side)
     # ------------------------------------------------------------------
 
     def _execute_delegated(self, rec: OpRecord, reg: ThreadRegistration) -> None:
-        tree = self.tree
         checking = self.exclusion_violations is not None
         e1 = self.epoch if checking else 0
         try:
-            act = rec.action
-            if act == ACT_GET:
-                result = tree.get(rec.key)
-            elif act == ACT_SOFT_DELETE:
-                with tree.mark_lock:
-                    result = tree.soft_delete(rec.key)
-                    self._log(OpKind.DELETE, rec.key, None, result)
-            else:  # ACT_SOFT_INSERT
-                with tree.mark_lock:
-                    node = tree.find_node(rec.key)
-                    if node.is_deleted and tree.live_count >= self.max_live:
-                        result = False  # revive would bust the live budget
-                    else:
-                        result = tree.soft_insert(rec.key, rec.value)
-                    self._log(OpKind.INSERT, rec.key, rec.value, result)
+            rec.result = self._run_action(rec.action, rec, None)
             if checking:
                 self._note_epochs(e1)
-            rec.result = result
         finally:
             # The release must happen even if the op blew up, or the combiner
             # would wait on this accounting forever.
@@ -424,6 +435,27 @@ class CombinerEngine:
             elif release == REL_MARK:
                 reg.pending_mark = False
             rec.status = DONE
+
+    def _run_action(self, action: int, rec: OpRecord, node: Optional[Node]):
+        # One delegated action, run by its caller or, in the future-work
+        # variant, by the combiner, which passes the node it already found.
+        tree = self.tree
+        key = rec.key
+        if action == ACT_GET:
+            return tree.get(key)
+        with tree.mark_lock:
+            if action == ACT_SOFT_DELETE:
+                result = tree.soft_delete(key)
+                self._log(OpKind.DELETE, key, None, result)
+                return result
+            if node is None:
+                node = tree.find_node(key)
+            if insert_refused(tree, node, self.max_live):
+                result = False
+            else:
+                result = tree.soft_insert(key, rec.value)
+            self._log(OpKind.INSERT, key, rec.value, result)
+            return result
 
     def _note_epochs(self, e1: int) -> None:
         e2 = self.epoch
@@ -446,10 +478,8 @@ class CombinerEngine:
         reg = self._own_registration()
         hooks = self.test_hooks
         while True:
-            if reg.stop_flag:
-                with reg.cond:
-                    while reg.stop_flag and self.running:
-                        reg.cond.wait(0.05)
+            if reg.flag:
+                self._sleep_out(reg, lambda: self.running)
             if hooks is not None:
                 cb = getattr(hooks, "before_mark", None)
                 if cb is not None:
@@ -458,9 +488,10 @@ class CombinerEngine:
             # Recheck after publishing the mark: a flag raised in the window
             # since the first check means the combiner may already have seen
             # our mark clear, so back out and wait.
-            if reg.stop_flag:
+            if reg.flag:
                 reg.pending_mark = False
-                self.stats.get_retries += 1
+                with self._reg_lock:  # callers race on this rare count
+                    self.stats.get_retries += 1
                 continue
             break
         checking = self.exclusion_violations is not None
@@ -478,7 +509,7 @@ class CombinerEngine:
     def _combiner_loop(self) -> None:
         queue = self.queue
         popleft = queue.popleft
-        dispatch = self._dispatch
+        dispatch = self._dispatch_soft if self.config.soft_ops else self._dispatch_plain
         while True:
             if not self.running:
                 self._drain()
@@ -514,15 +545,6 @@ class CombinerEngine:
                 self._drain()
                 raise
 
-    def _dispatch(self, rec: OpRecord) -> None:
-        cfg = self.config
-        if cfg.future_work:
-            self._dispatch_combiner_executes(rec)
-        elif cfg.soft_ops:
-            self._dispatch_soft(rec)
-        else:
-            self._dispatch_plain(rec)
-
     def _gate_wait(self, ready) -> None:
         # Combiner-side wait for caller-held accounting to drain. The holder
         # is executing real work, so first yields are cheap; past the budget
@@ -539,8 +561,7 @@ class CombinerEngine:
     # V1-V4: delegated gets behind a counter, combiner-executed writes.
     def _dispatch_plain(self, rec: OpRecord) -> None:
         if rec.kind == OpKind.GET:
-            self.pending_gets.add(1)
-            self._delegate(rec, ACT_GET, REL_GETS)
+            self._delegate(rec, ACT_GET)
             return
         pg = self.pending_gets
         if pg.load():  # writes wait until no delegated get is in flight
@@ -548,10 +569,7 @@ class CombinerEngine:
         tree = self.tree
         with tree.mark_lock:
             if rec.kind == OpKind.INSERT:
-                if (
-                    tree.find_node(rec.key) is None
-                    and tree.live_count >= self.max_live
-                ):
+                if insert_refused(tree, tree.find_node(rec.key), self.max_live):
                     outcome = False
                 else:
                     outcome = tree.insert(rec.key, rec.value)
@@ -561,60 +579,33 @@ class CombinerEngine:
                 self._log(OpKind.DELETE, rec.key, None, outcome)
         self._finish(rec, outcome)
 
-    # V5/V6: soft writes delegated, physical inserts behind stop-world.
+    # V5, V6 and future-work: each op is classified once. A present key's soft
+    # write is delegated to its caller, or in the future-work variant run by
+    # the combiner itself, so the sleeping caller gets exactly one wakeup.
     def _dispatch_soft(self, rec: OpRecord) -> None:
-        tree = self.tree
-        per_thread = self.config.stop_world_scope is StopWorldScope.PER_THREAD
         kind = rec.kind
+        node = None
         if kind == OpKind.GET:
-            self._count_delegation(rec, per_thread)
-            self._delegate(rec, ACT_GET, REL_MARK if per_thread else REL_OPS)
-        elif kind == OpKind.DELETE:
-            if tree.find_node(rec.key) is None:
+            action = ACT_GET
+        else:
+            # only the combiner mutates structure, so presence is stable here
+            node = self.tree.find_node(rec.key)
+            if node is not None:
+                action = ACT_SOFT_INSERT if kind == OpKind.INSERT else ACT_SOFT_DELETE
+            elif kind == OpKind.INSERT:
+                self._physical_insert(rec)
+                return
+            else:
                 # logical no-op, but stamped so the effect log lists every
                 # write attempt in serialization order
-                with tree.mark_lock:
+                with self.tree.mark_lock:
                     self._log(OpKind.DELETE, rec.key, None, False)
                 self._finish(rec, False)
-            else:
-                self._count_delegation(rec, per_thread)
-                self._delegate(rec, ACT_SOFT_DELETE,
-                               REL_MARK if per_thread else REL_OPS)
-        else:  # INSERT
-            if tree.find_node(rec.key) is None:
-                self._physical_insert(rec)
-            else:
-                self._count_delegation(rec, per_thread)
-                self._delegate(rec, ACT_SOFT_INSERT,
-                               REL_MARK if per_thread else REL_OPS)
-
-    # Future-work variant: the combiner executes writes itself; callers are
-    # already asleep and get exactly one wakeup.
-    def _dispatch_combiner_executes(self, rec: OpRecord) -> None:
-        tree = self.tree
-        kind = rec.kind
-        if kind == OpKind.GET:  # normally bypasses the queue; serve anyway
-            self._finish(rec, tree.get(rec.key))
-            return
-        if kind == OpKind.DELETE:
-            with tree.mark_lock:
-                node = tree.find_node(rec.key)
-                outcome = tree.soft_delete(rec.key) if node is not None else False
-                self._log(OpKind.DELETE, rec.key, None, outcome)
-            self._finish(rec, outcome)
-            return
-        # INSERT; only the combiner mutates, so presence is stable here
-        node = tree.find_node(rec.key)
-        if node is None:
-            self._physical_insert(rec)
-            return
-        with tree.mark_lock:
-            if node.is_deleted and tree.live_count >= self.max_live:
-                outcome = False
-            else:
-                outcome = tree.soft_insert(rec.key, rec.value)
-            self._log(OpKind.INSERT, rec.key, rec.value, outcome)
-        self._finish(rec, outcome)
+                return
+        if self.config.future_work:
+            self._finish(rec, self._run_action(action, rec, node))
+        else:
+            self._delegate(rec, action)
 
     # Soft variants: a physically absent key is inserted behind stop-world,
     # and the tree compacted if the new node takes it over its budget.
@@ -624,7 +615,7 @@ class CombinerEngine:
         # the check is final once taken under mark_lock (concurrent soft ops
         # serialize on the same lock).
         with tree.mark_lock:
-            full = tree.live_count >= self.max_live
+            full = insert_refused(tree, None, self.max_live)
             if full:
                 self._log(OpKind.INSERT, rec.key, rec.value, False)
         if full:
@@ -632,7 +623,7 @@ class CombinerEngine:
             return
         self._enter_stop_world()
         with tree.mark_lock:  # uncontended now; taken for log stamping
-            if tree.live_count >= self.max_live:
+            if insert_refused(tree, None, self.max_live):
                 outcome = False  # a concurrent revive filled the budget
             else:
                 outcome = tree.insert(rec.key, rec.value)
@@ -643,14 +634,6 @@ class CombinerEngine:
         self._finish(rec, outcome)
         self._exit_stop_world()
 
-    def _count_delegation(self, rec: OpRecord, per_thread: bool) -> None:
-        # Accounting happens before CALLER_EXECUTES becomes visible, so a
-        # later stop-world drain is guaranteed to wait for this op.
-        if per_thread:
-            rec.owner.pending_mark = True
-        else:
-            self.pending_ops.add(1)
-
     def _advance(self, rec: OpRecord, status: int) -> None:
         # Store-then-check pairs with _park_until's set-then-check under the
         # record lock; sequential consistency makes missing both impossible.
@@ -659,7 +642,17 @@ class CombinerEngine:
             with rec.cond:
                 rec.cond.notify()
 
-    def _delegate(self, rec: OpRecord, action: int, release: int) -> None:
+    def _delegate(self, rec: OpRecord, action: int) -> None:
+        # Take the accounting the caller releases (see _execute_delegated)
+        # before CALLER_EXECUTES becomes visible, so a later drain is
+        # guaranteed to wait for this op.
+        release = self._release
+        if release == REL_GETS:
+            self.pending_gets.add(1)
+        elif release == REL_OPS:
+            self.pending_ops.add(1)
+        else:
+            rec.owner.pending_mark = True
         rec.action = action
         rec.release = release
         self._advance(rec, CALLER_EXECUTES)
@@ -672,24 +665,25 @@ class CombinerEngine:
     # stop-world (combiner side only)
     # ------------------------------------------------------------------
 
+    def _stop_signals(self, active: bool) -> List[StopSignal]:
+        # The engine's own signal, or every registration's; _sw_active halts
+        # a thread that registers while the world is stopped.
+        if not self._per_thread:
+            return [self.stop]
+        with self._reg_lock:
+            self._sw_active = active
+            return list(self._reg_list)
+
     def _enter_stop_world(self) -> None:
         self.stats.stop_worlds += 1
-        if self.config.stop_world_scope is StopWorldScope.GLOBAL:
-            with self.sw_cond:
-                self.sw_flag = True
-            po = self.pending_ops
-            if po.load():
-                self._gate_wait(lambda: not po.load())
+        signals = self._stop_signals(True)
+        for signal in signals:
+            signal.flag = True
+        if self._per_thread:
+            self._gate_wait(lambda: not any(reg.pending_mark for reg in signals))
         else:
-            with self._reg_lock:
-                self._sw_active = True
-                regs = list(self._reg_list)
-            for reg in regs:
-                reg.stop_flag = True
-            if any(reg.pending_mark for reg in regs):
-                self._gate_wait(
-                    lambda: not any(reg.pending_mark for reg in regs)
-                )
+            po = self.pending_ops
+            self._gate_wait(lambda: not po.load())
         self.epoch += 1  # odd: exclusive mutation phase begins
 
     def _exit_stop_world(self) -> None:
@@ -699,18 +693,10 @@ class CombinerEngine:
             cb = getattr(hooks, "on_stop_world_exit", None)
             if cb is not None:
                 cb(self.tree)
-        if self.config.stop_world_scope is StopWorldScope.GLOBAL:
-            with self.sw_cond:
-                self.sw_flag = False
-                self.sw_cond.notify_all()
-        else:
-            with self._reg_lock:
-                self._sw_active = False
-                regs = list(self._reg_list)
-            for reg in regs:
-                with reg.cond:
-                    reg.stop_flag = False
-                    reg.cond.notify_all()
+        for signal in self._stop_signals(False):
+            with signal.cond:
+                signal.flag = False
+                signal.cond.notify_all()
 
     # ------------------------------------------------------------------
     # shutdown
@@ -726,14 +712,12 @@ class CombinerEngine:
             with rec.cond:
                 rec.status = DONE
                 rec.cond.notify_all()
-        # release anyone parked on stop-world machinery
-        with self.sw_cond:
-            self.sw_cond.notify_all()
+        # release anyone asleep on a stop signal
         with self._reg_lock:
-            regs = list(self._reg_list)
-        for reg in regs:
-            with reg.cond:
-                reg.cond.notify_all()
+            signals = [self.stop] + self._reg_list
+        for signal in signals:
+            with signal.cond:
+                signal.cond.notify_all()
 
     def shutdown(self) -> None:
         self.running = False

@@ -18,6 +18,7 @@ from .runtime import (
     StopWorldScope,
     VariantConfig,
     WaitStrategy,
+    insert_refused,
 )
 
 S = WaitStrategy
@@ -134,7 +135,7 @@ class CoarseLockMap:
     def insert(self, key: int, value: int) -> bool:
         tree = self.tree
         with self._lock:
-            if tree.find_node(key) is None and tree.live_count >= tree.max_nodes:
+            if insert_refused(tree, tree.find_node(key), tree.max_nodes):
                 outcome = False
             else:
                 outcome = tree.insert(key, value)
@@ -149,13 +150,7 @@ class CoarseLockMap:
                 self.effect_log.append((OpKind.DELETE, key, None, outcome))
             return outcome
 
-    def apply(self, op: Op) -> OpResult:
-        kind, key, value = op
-        if kind == OpKind.GET:
-            return self.get(key)
-        if kind == OpKind.INSERT:
-            return self.insert(key, value)
-        return self.delete(key)
+    apply = FlatCombiningMap.apply
 
     def validate(self):
         return self.tree.validate()

@@ -14,6 +14,7 @@ from fcrbt.runtime import (
     ACT_SOFT_INSERT,
     BACKOFF_MS,
     CALLER_EXECUTES,
+    CLAIMED,
     DONE,
     PENDING,
     RegistrationError,
@@ -310,6 +311,34 @@ def test_wait_returns_immediately_when_already_complete(managed_map, strategy):
     rec.status = DONE
     rec.cond = CondRecorder(rec.cond)
     m.engine._wait_phase2(strategy, rec, reg)
+    assert rec.cond.timeouts == []
+
+
+@pytest.mark.parametrize(
+    "which,strategy",
+    [("V5", WaitStrategy.STOP_WORLD_SLEEP), ("V6", WaitStrategy.PER_THREAD_FLAG)],
+)
+def test_stop_sleep_rows_sleep_out_a_raised_flag(managed_map, poll, which, strategy):
+    m = managed_map(which)
+    engine = m.engine
+    reg = m.register_thread()
+    rec = reg.record
+    # the engine-wide signal for V5's global stop-world, the caller's own for V6
+    stop = engine.stop if strategy is WaitStrategy.STOP_WORLD_SLEEP else reg
+    stop.flag = True
+    stop.cond = CondRecorder(stop.cond)
+    rec.cond = CondRecorder(rec.cond)
+    rec.status = CLAIMED
+
+    t, out = run_in_thread(engine._wait_phase2, strategy, rec, reg)
+    poll(lambda: stop.cond.timeouts, what="waiter asleep on the stop condition")
+    assert rec.cond.timeouts == []  # slept on the stop condition, not parked
+
+    with stop.cond:
+        rec.status = DONE
+        stop.flag = False
+        stop.cond.notify_all()
+    join_and_get(t, out, timeout=5.0)
     assert rec.cond.timeouts == []
 
 

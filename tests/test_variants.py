@@ -1,6 +1,7 @@
 """Variant assembly: the configuration table, per-variant dispatch rules,
 the queue-bypass get path, and the future-work (enqueue-then-sleep) variant."""
 
+import dataclasses
 import threading
 from types import SimpleNamespace
 
@@ -94,6 +95,27 @@ def test_config_rejects_empty_backoff_schedule():
             stop_world_scope=StopWorldScope.NONE,
             backoff_ms=(),
         )
+
+
+@pytest.mark.parametrize(
+    "base,changes",
+    [
+        # bypassing gets are fenced off a stop-world only by per-thread flags;
+        # under a global stop-world they overlapped its mutations
+        ("V5", dict(gets_bypass_queue=True)),
+        # the combiner executes soft actions only
+        ("FutureWork", dict(soft_ops=False)),
+        # each wait sleeps out a flag that the configured scope never raises
+        ("V6", dict(write_wait=WaitStrategy.STOP_WORLD_SLEEP)),
+        ("V5", dict(write_wait=WaitStrategy.PER_THREAD_FLAG)),
+        ("V4", dict(get_wait=WaitStrategy.STOP_WORLD_SLEEP)),
+    ],
+    ids=["bypass-global", "future-work-hard", "global-sleep-per-thread",
+         "per-thread-flag-global", "global-sleep-no-scope"],
+)
+def test_config_rejects_unsafe_shapes(base, changes):
+    with pytest.raises(ValueError):
+        dataclasses.replace(VARIANTS[base], id="bad", **changes)
 
 
 # ---------------------------------------------------------------------------
