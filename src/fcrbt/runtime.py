@@ -2,20 +2,26 @@
 strategies, pending-operation accounting and stop-world signalling.
 
 One dedicated combiner thread owns all structural tree mutation. Callers
-publish an OpRecord and wait in one loop, _wait_phase2, that reads a row of
-data from their WaitStrategy: how many yield-polls to make, which stop flag
-to sleep out while raised (none, the engine's or their own), and whether the
-park naps along the backoff schedule or on the fixed backstop. The handoff
-ack is that loop with the SPIN row up to CLAIMED; the future-work variant
-parks once until DONE. Delegated operations (gets, soft writes) are executed
-by their callers; the combiner gates any structural mutation on the matching
+publish an OpRecord, park until the combiner claims it, then wait in one
+loop, _wait_phase2, that reads a row of data from their WaitStrategy: how
+many yield-polls to make, which stop flag to sleep out while raised (none,
+the engine's or their own), and whether the park naps along the backoff
+schedule or on the fixed backstop. The future-work variant parks once until
+DONE. Delegated operations (gets, soft writes) are executed by their
+callers; the combiner gates any structural mutation on the matching
 pending-operation accounting so no delegated op overlaps it. The soft
 variants classify each write once, then delegate its action or, in the
 future-work variant, have the combiner run the same action.
 
-Every spin loop yields with time.sleep(0): on a single core under the GIL,
-an unyielding spinner would otherwise hold the interpreter for a whole
-switch interval per iteration.
+Every caller<->combiner handoff is one park and one post on a ParkSlot owned
+by the waiter: a caller parks on its record's slot, the combiner on its own
+slot, whether its queue is empty or a gate waits for a caller's accounting.
+A yield-poll is no cheaper: under the GIL the polling thread queues on the
+interpreter lock, and waking it from there costs more than waking a parked
+thread. Only the phase-2 rows with a poll budget still yield-poll, each with
+time.sleep(0), since an unyielding spinner would hold the interpreter for a
+whole switch interval per iteration. Every park that does not back off times
+out after BACKSTOP_MS, read at each park, as a backstop against a lost post.
 
 Visibility notes, used throughout instead of per-field locks: plain attribute
 loads and stores are GIL-atomic, and the GIL serializes them into a single
@@ -43,9 +49,9 @@ CLAIMED = 1
 CALLER_EXECUTES = 2
 DONE = 3
 
-# How many yield-polls a spinning caller makes before parking on its record
-# condition. Spins are only productive here while the combiner actively works;
-# a runnable-but-descheduled peer needs the core free, so park past this.
+# How many yield-polls a phase-2 wait with a spinning row makes before it
+# parks on its record's slot. Past that budget a runnable-but-descheduled
+# peer needs the core free, so the caller parks.
 SPIN_BUDGET = 16
 
 
@@ -73,7 +79,7 @@ REL_MARK = 3
 BACKOFF_MS = (1, 3, 10, 20, 50, 100, 200, 500, 1000, 3033, 5000)
 
 # Nap of every park that does not back off. It is a backstop against a missed
-# notify, not a correctness requirement.
+# post, not a correctness requirement; parks read it when they start.
 BACKSTOP_MS = (50,)
 
 
@@ -148,6 +154,33 @@ class ShutdownError(RuntimeError):
     pass
 
 
+class ParkSlot:
+    """One waiter's wake-up: a lock used as a binary semaphore. ``post``
+    releases it, and a post that finds it already posted is dropped; ``wait``
+    takes the post or times out. A post made before the wait is kept, so the
+    pairing needs no lock: the waiter stores its parked flag, re-checks what it
+    waits for, then waits; the waker stores its change, then posts if it sees
+    the flag. Under the GIL one of the two sees the other's store. A stale post
+    only makes the next wait return early, and every waiter re-checks."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def post(self) -> None:
+        lock = self._lock
+        if lock.locked():  # not posted yet; a raise would cost more
+            try:
+                lock.release()
+            except RuntimeError:  # another waker posted first
+                pass
+
+    def wait(self, timeout: float) -> bool:
+        return self._lock.acquire(True, timeout)
+
+
 class OpRecord:
     __slots__ = (
         "kind",
@@ -175,14 +208,15 @@ class OpRecord:
         self.seq = -1
         self.shutdown = False
         self.parked = 0  # caller is (about to be) waiting on cond
-        self.cond = threading.Condition()
+        self.cond = ParkSlot()
         self.owner = owner
 
 
 class StopSignal:
     """A stop-world flag plus the condition its waiters sleep on. The flag is
     raised bare and lowered under the lock with a notify, so no waiter that
-    saw it raised can miss the lowering."""
+    saw it raised can miss the lowering. A condition, not a ParkSlot: a global
+    stop-world can have many waiters."""
 
     __slots__ = ("flag", "cond")
 
@@ -247,12 +281,13 @@ class CombinerEngine:
         self._per_thread = config.stop_world_scope is StopWorldScope.PER_THREAD
         soft_release = REL_MARK if self._per_thread else REL_OPS
         self._release = soft_release if config.soft_ops else REL_GETS  # see _delegate
-        # Combiner parking. A timed nap in the combiner is poison here: the
-        # kernel delays its wakeup by multiple ms while caller threads spin,
-        # so the combiner either yields (queue recently active) or parks on
-        # this condition, which producers notify.
-        self._qcond = threading.Condition()
+        # The combiner's own slot. It parks there on an empty queue (_parked;
+        # a producer posts) or in a gate (_gate_parked; the caller releasing
+        # the last accounting posts). A timed nap instead would delay it by
+        # milliseconds while callers wait on it.
+        self._wake = ParkSlot()
         self._parked = False
+        self._gate_parked = False
         self._sw_active = False  # guarded by _reg_lock; covers late registration
         # Incremented when a stop-world mutation begins and again when it
         # ends, so odd values mean "combiner is mutating".
@@ -325,8 +360,7 @@ class CombinerEngine:
         rec.status = PENDING
         self.queue.append(rec)
         if self._parked:
-            with self._qcond:
-                self._qcond.notify()
+            self._wake.post()
 
         cfg = self.config
         if cfg.future_work:
@@ -347,39 +381,40 @@ class CombinerEngine:
     # wait phases (caller side)
     # ------------------------------------------------------------------
 
-    def _park_until(self, rec: OpRecord, threshold: int, naps=BACKSTOP_MS) -> None:
+    def _park_until(self, rec: OpRecord, threshold: int, naps=None) -> None:
         # Blocking tail of every caller wait; each failed status check naps
-        # the next entry of `naps` (clamped), cut short by a notify. Pairs
-        # with _advance on the combiner side: parked is set inside the lock
-        # before re-checking status, so the combiner either observes parked
-        # and notifies, or we observe its status store and never wait.
-        cond = rec.cond
+        # the next entry of `naps` (clamped; BACKSTOP_MS by default), cut
+        # short by a post. Pairs with _advance on the combiner side: parked is
+        # stored before status is re-checked, so the combiner either observes
+        # parked and posts, or we observe its status store and never wait.
+        if naps is None:
+            naps = BACKSTOP_MS
+        slot = rec.cond
         attempt = 0
-        with cond:
-            rec.parked = 1
-            try:
-                while rec.status < threshold:
-                    if not self.running and rec.status == PENDING:
-                        # Combiner already drained and exited; settle our own
-                        # record if still queued, else the drain owns it.
-                        try:
-                            self.queue.remove(rec)
-                        except ValueError:
-                            pass
-                        else:
-                            rec.shutdown = True
-                            rec.status = DONE
-                            return
-                    cond.wait(backoff_timeout(naps, attempt))
-                    attempt += 1
-            finally:
-                rec.parked = 0
+        rec.parked = 1
+        try:
+            while rec.status < threshold:
+                if not self.running and rec.status == PENDING:
+                    # Combiner already drained and exited; settle our own
+                    # record if still queued, else the drain owns it.
+                    try:
+                        self.queue.remove(rec)
+                    except ValueError:
+                        pass
+                    else:
+                        rec.shutdown = True
+                        rec.status = DONE
+                        return
+                slot.wait(backoff_timeout(naps, attempt))
+                attempt += 1
+        finally:
+            rec.parked = 0
 
     def _wait_claimed(self, rec: OpRecord) -> None:
-        # Handoff ack: every queue variant polls for the combiner's pickup,
-        # then parks. Yield-polling past the budget is counterproductive: a
-        # runnable-but-descheduled peer needs us off the core to finish.
-        self._wait_phase2(WaitStrategy.SPIN, rec, None, CLAIMED)
+        # Handoff ack: every queue variant parks at once until the combiner's
+        # pickup. The combiner has not started on the record yet, so a
+        # yield-poll cannot see it claimed; it only delays the wake-up.
+        self._park_until(rec, CLAIMED)
 
     def _wait_phase2(
         self, strategy: WaitStrategy, rec: OpRecord, reg, threshold: int = CALLER_EXECUTES
@@ -426,14 +461,18 @@ class CombinerEngine:
                 self._note_epochs(e1)
         finally:
             # The release must happen even if the op blew up, or the combiner
-            # would wait on this accounting forever.
+            # would wait on this accounting forever. Releasing the last of it
+            # posts a combiner parked in _gate_wait.
             release = rec.release
             if release == REL_GETS:
-                self.pending_gets.add(-1)
+                drained = not self.pending_gets.add(-1)
             elif release == REL_OPS:
-                self.pending_ops.add(-1)
-            elif release == REL_MARK:
+                drained = not self.pending_ops.add(-1)
+            else:
                 reg.pending_mark = False
+                drained = True
+            if drained and self._gate_parked:
+                self._wake.post()
             rec.status = DONE
 
     def _run_action(self, action: int, rec: OpRecord, node: Optional[Node]):
@@ -480,6 +519,9 @@ class CombinerEngine:
         while True:
             if reg.flag:
                 self._sleep_out(reg, lambda: self.running)
+                if not self.running:
+                    # A combiner that crashed mid-stop-world never lowers it.
+                    raise ShutdownError("engine is shut down")
             if hooks is not None:
                 cb = getattr(hooks, "before_mark", None)
                 if cb is not None:
@@ -490,6 +532,8 @@ class CombinerEngine:
             # our mark clear, so back out and wait.
             if reg.flag:
                 reg.pending_mark = False
+                if self._gate_parked:
+                    self._wake.post()
                 with self._reg_lock:  # callers race on this rare count
                     self.stats.get_retries += 1
                 continue
@@ -500,6 +544,8 @@ class CombinerEngine:
         if checking:
             self._note_epochs(e1)
         reg.pending_mark = False
+        if self._gate_parked:
+            self._wake.post()
         return result
 
     # ------------------------------------------------------------------
@@ -509,6 +555,7 @@ class CombinerEngine:
     def _combiner_loop(self) -> None:
         queue = self.queue
         popleft = queue.popleft
+        wake = self._wake
         dispatch = self._dispatch_soft if self.config.soft_ops else self._dispatch_plain
         while True:
             if not self.running:
@@ -517,24 +564,22 @@ class CombinerEngine:
             try:
                 rec = popleft()
             except IndexError:
-                # Park at once on an empty queue. Yield-spinning here starves
-                # callers polling for their status for a full timeslice; a
-                # park/notify handoff costs single-digit microseconds.
-                with self._qcond:
-                    self._parked = True
-                    if not queue and self.running:
-                        self._qcond.wait(0.05)
-                    self._parked = False
+                # Park at once on an empty queue; a producer that sees _parked
+                # after its append posts (store-then-check, as in _park_until).
+                self._parked = True
+                if not queue and self.running:
+                    wake.wait(BACKSTOP_MS[0] / 1000.0)
+                self._parked = False
                 continue
-            rec.seq = self._seq
-            self._seq += 1
-            self._advance(rec, CLAIMED)
-            hooks = self.test_hooks
-            if hooks is not None:
-                cb = getattr(hooks, "on_claim", None)
-                if cb is not None:
-                    cb(rec)
             try:
+                rec.seq = self._seq
+                self._seq += 1
+                self._advance(rec, CLAIMED)
+                hooks = self.test_hooks
+                if hooks is not None:
+                    cb = getattr(hooks, "on_claim", None)
+                    if cb is not None:
+                        cb(rec)
                 dispatch(rec)
             except BaseException as exc:  # protocol violation: abort loudly
                 self.crashed = exc
@@ -546,17 +591,15 @@ class CombinerEngine:
                 raise
 
     def _gate_wait(self, ready) -> None:
-        # Combiner-side wait for caller-held accounting to drain. The holder
-        # is executing real work, so first yields are cheap; past the budget
-        # a short timed sleep guarantees the holder gets the core.
-        sleep = time.sleep
-        spins = 0
+        # Combiner-side wait for caller-held accounting to drain: park, and
+        # the caller that releases the last of it posts. _gate_parked is
+        # stored before ready() is re-checked, and each releaser stores its
+        # release before reading _gate_parked, as in _park_until.
+        wake = self._wake
+        self._gate_parked = True
         while not ready():
-            spins += 1
-            if spins < SPIN_BUDGET:
-                sleep(0)
-            else:
-                sleep(0.0002)
+            wake.wait(BACKSTOP_MS[0] / 1000.0)
+        self._gate_parked = False
 
     # V1-V4: delegated gets behind a counter, combiner-executed writes.
     def _dispatch_plain(self, rec: OpRecord) -> None:
@@ -635,12 +678,11 @@ class CombinerEngine:
         self._exit_stop_world()
 
     def _advance(self, rec: OpRecord, status: int) -> None:
-        # Store-then-check pairs with _park_until's set-then-check under the
-        # record lock; sequential consistency makes missing both impossible.
+        # Store-then-check pairs with _park_until's set-then-check; sequential
+        # consistency makes missing both impossible.
         rec.status = status
         if rec.parked:
-            with rec.cond:
-                rec.cond.notify()
+            rec.cond.post()
 
     def _delegate(self, rec: OpRecord, action: int) -> None:
         # Take the accounting the caller releases (see _execute_delegated)
@@ -709,9 +751,7 @@ class CombinerEngine:
             except IndexError:
                 break
             rec.shutdown = True
-            with rec.cond:
-                rec.status = DONE
-                rec.cond.notify_all()
+            self._advance(rec, DONE)
         # release anyone asleep on a stop signal
         with self._reg_lock:
             signals = [self.stop] + self._reg_list
@@ -721,8 +761,7 @@ class CombinerEngine:
 
     def shutdown(self) -> None:
         self.running = False
-        with self._qcond:
-            self._qcond.notify()
+        self._wake.post()
         self._thread.join()
 
     def join_combiner(self, timeout: Optional[float] = None) -> bool:

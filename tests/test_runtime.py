@@ -3,10 +3,12 @@ strategies, counters and shutdown. Variant-specific dispatch rules live in
 test_variants.py; cross-thread interleavings in test_schedules.py."""
 
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from fcrbt import runtime
 from fcrbt.ops import OpKind
 from fcrbt.oracle import OracleMap
 from fcrbt.runtime import (
@@ -26,7 +28,8 @@ from fcrbt.runtime import (
 
 
 class CondRecorder:
-    """Wraps a Condition, recording every wait timeout passed through it."""
+    """Wraps a Condition or a record's park slot, recording every wait
+    timeout passed through it."""
 
     def __init__(self, real):
         self._real = real
@@ -48,6 +51,9 @@ class CondRecorder:
     def notify_all(self):
         self._real.notify_all()
 
+    def post(self):
+        self._real.post()
+
 
 def run_in_thread(fn, *args):
     out = {}
@@ -58,7 +64,8 @@ def run_in_thread(fn, *args):
         except BaseException as exc:  # re-raised by join_and_get
             out["error"] = exc
 
-    t = threading.Thread(target=target)
+    # daemon, so a worker a failed test leaves stuck cannot hang the session
+    t = threading.Thread(target=target, daemon=True)
     t.start()
     return t, out
 
@@ -354,6 +361,116 @@ def test_delegated_get_is_executed_by_the_caller(managed_map):
     assert m.get(9) == 90
     assert seen == [(9, caller_ident)]
     assert reg.record.action == ACT_GET
+
+
+@pytest.mark.parametrize("which", ["V1", "V5", "V6"])
+def test_gate_release_posts_the_parked_combiner(managed_map, poll, monkeypatch, which):
+    # A get holds the accounting a write's gate waits on: V1 pending_gets,
+    # V5 pending_ops (global stop-world), V6 the reader's pending mark. With
+    # the backstop at 10 s only the releasing caller's post can end the
+    # combiner's gate park in time.
+    monkeypatch.setattr(runtime, "BACKSTOP_MS", (10_000,))
+    m = managed_map(which, max_nodes=4)
+    engine = m.engine
+    engine._wake = CondRecorder(engine._wake)
+    m.register_thread()
+    m.insert(0, 7)
+    held = threading.Event()
+    release = threading.Event()
+
+    def on_get_start(key):
+        held.set()
+        assert release.wait(10.0)
+
+    m.tree.test_hooks = SimpleNamespace(on_get_start=on_get_start)
+
+    def reader():
+        m.register_thread()
+        return m.get(0)
+
+    def writer():
+        m.register_thread()
+        return m.insert(1, 10)  # absent key: structural, behind the gate
+
+    r, r_out = run_in_thread(reader)
+    poll(held.is_set, what="get held inside the tree")
+    w, w_out = run_in_thread(writer)
+    poll(lambda: 10.0 in engine._wake.timeouts, what="combiner parked on the gate")
+    assert "result" not in w_out
+    start = time.monotonic()
+    release.set()
+    assert join_and_get(w, w_out, timeout=5.0) is True
+    assert time.monotonic() - start < 1.0
+    assert join_and_get(r, r_out) == 7
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_claim_crash_aborts_the_waiting_caller(managed_map):
+    m = managed_map("V1")
+    engine = m.engine
+
+    def on_claim(rec):
+        raise RuntimeError("deliberate claim failure")
+
+    engine.test_hooks = SimpleNamespace(on_claim=on_claim)
+
+    def op():
+        m.register_thread()
+        return m.insert(1, 10)
+
+    t, out = run_in_thread(op)
+    with pytest.raises(ShutdownError):
+        join_and_get(t, out, timeout=5.0)
+    assert isinstance(engine.crashed, RuntimeError)
+    assert engine.join_combiner(5.0)
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_bypass_get_aborts_after_a_crash_inside_stop_world(managed_map):
+    # The combiner dies inside a stop-world, so the reader's stop flag is
+    # never lowered; the reader must give up once the engine is down.
+    m = managed_map("V6", max_nodes=4)
+    engine = m.engine
+    m.register_thread()
+    for k in range(4):
+        m.insert(k, k)
+    m.delete(3)  # soft: the physical insert below takes the tree over budget
+    registered = threading.Event()
+    go = threading.Event()
+    regs = []
+
+    def reader():
+        regs.append(m.register_thread())
+        registered.set()
+        assert go.wait(10.0)
+        return m.get(0)
+
+    r, r_out = run_in_thread(reader)
+    assert registered.wait(10.0)
+    stop = regs[0]
+    stop.cond = CondRecorder(stop.cond)
+
+    def on_stop_world_exit(tree):
+        go.set()  # the reader enters bypass_get with its flag still raised
+        deadline = time.monotonic() + 10.0
+        while not stop.cond.timeouts and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise RuntimeError("deliberate stop-world failure")
+
+    engine.test_hooks = SimpleNamespace(on_stop_world_exit=on_stop_world_exit)
+
+    def writer():
+        m.register_thread()
+        return m.insert(9, 90)
+
+    w, w_out = run_in_thread(writer)
+    with pytest.raises(ShutdownError):
+        join_and_get(r, r_out, timeout=5.0)
+    assert stop.cond.timeouts, "reader never slept on its raised stop flag"
+    assert isinstance(engine.crashed, RuntimeError)
+    w.join(5.0)
+    assert not w.is_alive()
+    assert engine.join_combiner(5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ replay, determinism, and the physical-budget invariant under churn."""
 
 import sys
 import threading
+import time
 
 import pytest
 
+from fcrbt import runtime
 from fcrbt.ops import OpKind
 from fcrbt.stress import DeadlockError, run_stress, run_workers
-from fcrbt.variants import make_variant
+from fcrbt.variants import ENGINE_VARIANTS, OPTIONAL_VARIANTS, make_variant
 from fcrbt.workload import WorkloadSpec, generate_ops
 
 
@@ -69,6 +71,36 @@ def test_marked_set_survives_fast_switching(variant):
     assert report.replay_ok and not report.errors, report.errors
     assert report.compactions >= 1
     assert report.exclusion_violations == 0
+
+
+@pytest.mark.parametrize("variant", ENGINE_VARIANTS + OPTIONAL_VARIANTS)
+def test_closed_loop_never_waits_on_a_backstop(variant, monkeypatch):
+    # Every park times out only after BACKSTOP_MS; at 10 s a lost post shows
+    # as an operation that takes seconds instead of microseconds.
+    monkeypatch.setattr(runtime, "BACKSTOP_MS", (10_000,))
+    spec = WorkloadSpec(insert_pct=30, delete_pct=30, get_pct=40, key_min=0,
+                        key_max=32, max_nodes=16, seed=21)
+    m = make_variant(variant, 16, 2)
+    worst = [0.0, 0.0]
+
+    def caller(index):
+        m.register_thread()
+        apply = m.apply
+        clock = time.perf_counter
+        slowest = 0.0
+        for op in generate_ops(spec, index, 20_000):
+            start = clock()
+            apply(op)
+            slowest = max(slowest, clock() - start)
+        worst[index] = slowest
+
+    try:
+        errors = run_workers([lambda: caller(0), lambda: caller(1)], watchdog_secs=120.0)
+    finally:
+        m.shutdown()
+    assert not errors, errors
+    assert max(worst) < 2.0, f"slowest operation took {max(worst):.3f} s"
+    assert m.validate().ok
 
 
 def test_same_seed_single_thread_is_bit_identical():
