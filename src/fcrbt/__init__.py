@@ -5,83 +5,51 @@ Public surface: build a map with :func:`make_variant`, drive it with the
 linearizability checker, the stress harness, or the benchmark sweep.
 """
 
-from .bench import BenchResult, emit_csv, parse_csv, run_bench, run_cell
-from .claims import ClaimCheck, evaluate_claims, format_report
-from .history import HistoryEvent, HistoryRecorder
-from .linearizability import (
-    LinResult,
-    check_linearizable,
-    illegal_history_catalog,
-)
-from .ops import Op, OpKind, OpResult
-from .oracle import BisectOracle, OracleMap, replay_sequential, replay_writes
-from .runtime import (
-    CombinerEngine,
-    EngineStats,
-    RegistrationError,
-    ShutdownError,
-    StopWorldScope,
-    WaitStrategy,
-)
-from .schedules import SCENARIOS, run_scenario
-from .stress import DeadlockError, StressReport, run_recorded_history, run_stress
-from .variants import (
-    ALL_VARIANTS,
-    ENGINE_VARIANTS,
-    OPTIONAL_VARIANTS,
-    CoarseLockMap,
-    FlatCombiningMap,
-    VariantConfig,
-    make_variant,
-)
-from .workload import WorkloadSpec, generate_ops, mix_seed, split_ops, warmup_keys
+from importlib import import_module
+
+# Each public name and the submodule that defines it. A name is imported on
+# first access (PEP 562), so a map user does not pay for the harness modules
+# (bench, stress, claims, linearizability, schedules, ...) at import time.
+_SOURCES = {
+    "bench": ("BenchResult", "emit_csv", "parse_csv", "run_bench", "run_cell"),
+    "claims": ("ClaimCheck", "evaluate_claims", "format_report"),
+    "history": ("HistoryEvent", "HistoryRecorder"),
+    "linearizability": ("LinResult", "check_linearizable", "illegal_history_catalog"),
+    "ops": ("Op", "OpKind", "OpResult"),
+    "oracle": ("BisectOracle", "OracleMap", "replay_sequential", "replay_writes"),
+    "runtime": (
+        "CombinerEngine",
+        "EngineStats",
+        "RegistrationError",
+        "ShutdownError",
+        "StopWorldScope",
+        "WaitStrategy",
+    ),
+    "schedules": ("SCENARIOS", "run_scenario"),
+    "stress": ("DeadlockError", "StressReport", "run_recorded_history", "run_stress"),
+    "variants": (
+        "ALL_VARIANTS",
+        "ENGINE_VARIANTS",
+        "OPTIONAL_VARIANTS",
+        "CoarseLockMap",
+        "FlatCombiningMap",
+        "VariantConfig",
+        "make_variant",
+    ),
+    "workload": ("WorkloadSpec", "generate_ops", "mix_seed", "split_ops", "warmup_keys"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_VARIANTS",
-    "BenchResult",
-    "BisectOracle",
-    "ClaimCheck",
-    "CoarseLockMap",
-    "CombinerEngine",
-    "DeadlockError",
-    "ENGINE_VARIANTS",
-    "EngineStats",
-    "FlatCombiningMap",
-    "HistoryEvent",
-    "HistoryRecorder",
-    "LinResult",
-    "OPTIONAL_VARIANTS",
-    "Op",
-    "OpKind",
-    "OpResult",
-    "OracleMap",
-    "RegistrationError",
-    "SCENARIOS",
-    "ShutdownError",
-    "StopWorldScope",
-    "StressReport",
-    "VariantConfig",
-    "WaitStrategy",
-    "WorkloadSpec",
-    "check_linearizable",
-    "emit_csv",
-    "evaluate_claims",
-    "format_report",
-    "generate_ops",
-    "illegal_history_catalog",
-    "make_variant",
-    "mix_seed",
-    "parse_csv",
-    "replay_sequential",
-    "replay_writes",
-    "run_bench",
-    "run_cell",
-    "run_recorded_history",
-    "run_scenario",
-    "run_stress",
-    "split_ops",
-    "warmup_keys",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]

@@ -20,17 +20,23 @@ A yield-poll is no cheaper: under the GIL the polling thread queues on the
 interpreter lock, and waking it from there costs more than waking a parked
 thread. Only the phase-2 rows with a poll budget still yield-poll, each with
 time.sleep(0), since an unyielding spinner would hold the interpreter for a
-whole switch interval per iteration. Every park that does not back off times
-out after BACKSTOP_MS, read at each park, as a backstop against a lost post.
+whole switch interval per iteration, and a caller whose pickup wake already
+finds its record delegated or done skips phase 2. Every park that does not
+back off times out after BACKSTOP_MS, read at each park, as a backstop
+against a lost post. The combiner thread runs under the batch scheduling
+policy where the OS has one, so a caller's post never preempts the caller:
+the combiner runs once the caller parks and drops the interpreter lock.
 
 Visibility notes, used throughout instead of per-field locks: plain attribute
 loads and stores are GIL-atomic, and the GIL serializes them into a single
 total order, so flag/mark/status handshakes (store A then read B vs. store B
-then read A) cannot both miss. Read-modify-write counters use AtomicInt.
+then read A) cannot both miss. Read-modify-write counters use AtomicInt,
+whose adds are single GIL-atomic deque calls and take no lock.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import traceback
@@ -368,9 +374,10 @@ class CombinerEngine:
             self._park_until(rec, DONE)
         else:
             self._wait_claimed(rec)
-            self._wait_phase2(
-                cfg.get_wait if kind == OpKind.GET else cfg.write_wait, rec, reg
-            )
+            if rec.status < CALLER_EXECUTES:  # the pickup wake often finds more
+                self._wait_phase2(
+                    cfg.get_wait if kind == OpKind.GET else cfg.write_wait, rec, reg
+                )
             if rec.status == CALLER_EXECUTES:
                 self._execute_delegated(rec, reg)
         if rec.shutdown:
@@ -462,7 +469,11 @@ class CombinerEngine:
         finally:
             # The release must happen even if the op blew up, or the combiner
             # would wait on this accounting forever. Releasing the last of it
-            # posts a combiner parked in _gate_wait.
+            # posts a combiner parked in _gate_wait. The count read after the
+            # release cannot hide the last one: only the combiner adds to it,
+            # and it parks only after storing _gate_parked and reading a
+            # non-zero count, so no add comes between the last release and
+            # its read while the combiner is parked.
             release = rec.release
             if release == REL_GETS:
                 drained = not self.pending_gets.add(-1)
@@ -522,11 +533,16 @@ class CombinerEngine:
                 if not self.running:
                     # A combiner that crashed mid-stop-world never lowers it.
                     raise ShutdownError("engine is shut down")
-            if hooks is not None:
+            if hooks is None:
+                reg.pending_mark = True
+            else:
                 cb = getattr(hooks, "before_mark", None)
                 if cb is not None:
                     cb(reg)
-            reg.pending_mark = True
+                reg.pending_mark = True
+                cb = getattr(hooks, "before_recheck", None)
+                if cb is not None:
+                    cb(reg)
             # Recheck after publishing the mark: a flag raised in the window
             # since the first check means the combiner may already have seen
             # our mark clear, so back out and wait.
@@ -553,6 +569,15 @@ class CombinerEngine:
     # ------------------------------------------------------------------
 
     def _combiner_loop(self) -> None:
+        # A batch-policy thread never preempts the thread that wakes it
+        # (sched(7)), so a producer's post leaves the producer running until
+        # it parks and drops the interpreter lock. A preempting combiner would
+        # find that lock held and block again: two more context switches per
+        # handoff. The policy is this thread's own and needs no privilege.
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):  # no such call or policy here, or refused
+            pass
         queue = self.queue
         popleft = queue.popleft
         wake = self._wake
@@ -561,15 +586,17 @@ class CombinerEngine:
             if not self.running:
                 self._drain()
                 return
-            try:
-                rec = popleft()
-            except IndexError:
+            if not queue:
                 # Park at once on an empty queue; a producer that sees _parked
                 # after its append posts (store-then-check, as in _park_until).
                 self._parked = True
                 if not queue and self.running:
                     wake.wait(BACKSTOP_MS[0] / 1000.0)
                 self._parked = False
+                continue
+            try:
+                rec = popleft()
+            except IndexError:  # a caller withdrew it after shutdown began
                 continue
             try:
                 rec.seq = self._seq

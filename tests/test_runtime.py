@@ -2,6 +2,8 @@
 strategies, counters and shutdown. Variant-specific dispatch rules live in
 test_variants.py; cross-thread interleavings in test_schedules.py."""
 
+import os
+import random
 import threading
 import time
 from types import SimpleNamespace
@@ -260,6 +262,36 @@ def test_idle_combiner_consumes_nothing_and_stays_responsive(managed_map):
     assert claimed == [0]
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getscheduler"), reason="no scheduling policies here"
+)
+def test_combiner_runs_under_the_batch_policy(managed_map):
+    m = managed_map("V1")
+    m.register_thread()
+    assert m.insert(1, 10) is True  # the combiner loop has started
+    assert os.sched_getscheduler(m.engine._thread.native_id) == os.SCHED_BATCH
+
+
+@pytest.mark.parametrize("which", ["V1", "V6", "FutureWork"])
+def test_refused_batch_policy_leaves_the_map_correct(managed_map, monkeypatch, which):
+    def refuse(*args):
+        raise OSError("policy refused")
+
+    monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+    rng = random.Random(7)
+    script = []
+    for _ in range(600):
+        r = rng.randrange(100)
+        kind = OpKind.INSERT if r < 20 else OpKind.DELETE if r < 40 else OpKind.GET
+        script.append((kind, rng.randrange(24), rng.randrange(1000)))
+    oracle = OracleMap(max_live=8)
+    expected = [oracle.apply(op) for op in script]
+    m = managed_map(which, max_nodes=8)
+    m.register_thread()
+    assert [m.apply(op) for op in script] == expected
+    assert m.validate().ok
+
+
 # ---------------------------------------------------------------------------
 # wait strategies
 # ---------------------------------------------------------------------------
@@ -402,6 +434,48 @@ def test_gate_release_posts_the_parked_combiner(managed_map, poll, monkeypatch, 
     assert join_and_get(w, w_out, timeout=5.0) is True
     assert time.monotonic() - start < 1.0
     assert join_and_get(r, r_out) == 7
+
+
+def test_bypass_get_back_out_posts_the_parked_combiner(managed_map, poll, monkeypatch):
+    # A V6 reader publishes its mark, then a physical insert raises the stop
+    # flags and parks on that mark before the reader re-reads its flag. The
+    # reader must back out and post; with the backstop at 10 s nothing else
+    # ends the combiner's gate park in time.
+    monkeypatch.setattr(runtime, "BACKSTOP_MS", (10_000,))
+    m = managed_map("V6", max_nodes=4)
+    engine = m.engine
+    engine._wake = CondRecorder(engine._wake)
+    m.register_thread()
+    m.insert(0, 7)
+    held = threading.Event()
+    release = threading.Event()
+
+    def before_recheck(reg):
+        if not held.is_set():
+            held.set()
+            assert release.wait(10.0)
+
+    engine.test_hooks = SimpleNamespace(before_recheck=before_recheck)
+
+    def reader():
+        m.register_thread()
+        return m.get(0)
+
+    def writer():
+        m.register_thread()
+        return m.insert(1, 10)  # absent key: a physical insert behind stop-world
+
+    r, r_out = run_in_thread(reader)
+    poll(held.is_set, what="reader between its mark and its flag re-check")
+    w, w_out = run_in_thread(writer)
+    poll(lambda: 10.0 in engine._wake.timeouts, what="combiner parked on the mark")
+    assert "result" not in w_out
+    start = time.monotonic()
+    release.set()
+    assert join_and_get(w, w_out, timeout=5.0) is True
+    assert time.monotonic() - start < 1.0
+    assert join_and_get(r, r_out) == 7
+    assert engine.stats.get_retries == 1
 
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
