@@ -8,9 +8,9 @@ any fcrbt-bench flag can be overridden on the command line.
 import sys
 from pathlib import Path
 
-from fcrbt.bench import BenchResult, emit_csv, run_bench
+from fcrbt.bench import emit_csv, run_bench
 from fcrbt.claims import evaluate_claims, format_report
-from fcrbt.cli import build_parser, spec_from_args
+from fcrbt.cli import build_parser, print_progress, spec_from_args
 
 
 def main(argv=None) -> int:
@@ -18,16 +18,7 @@ def main(argv=None) -> int:
     parser.set_defaults(threads=(1, 2, 4, 8), out="results/sweep.csv")
     args = parser.parse_args(argv)
     spec = spec_from_args(args)
-
-    def progress(res: BenchResult) -> None:
-        if res.ok:
-            print(f"{res.variant} x{res.threads}: {res.ops_per_sec:,.0f} ops/s",
-                  file=sys.stderr)
-        else:
-            print(f"{res.variant} x{res.threads}: FAILED ({res.error})",
-                  file=sys.stderr)
-
-    results = run_bench(spec, progress=progress)
+    results = run_bench(spec, progress=print_progress)
     if args.out == "-":
         emit_csv(results, sys.stdout)
     else:

@@ -85,6 +85,15 @@ def spec_from_args(args: argparse.Namespace) -> WorkloadSpec:
     )
 
 
+def print_progress(res: BenchResult) -> None:
+    """One stderr line per finished cell: its rate, or why it failed."""
+    if res.ok:
+        line = f"{res.variant} x{res.threads}: {res.ops_per_sec:,.0f} ops/s"
+    else:
+        line = f"{res.variant} x{res.threads}: FAILED ({res.error})"
+    print(line, file=sys.stderr)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -92,14 +101,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"invalid workload: {exc}", file=sys.stderr)
         return 2
-
-    def progress(res: BenchResult) -> None:
-        if res.ok:
-            line = (f"{res.variant} x{res.threads}: "
-                    f"{res.ops_per_sec:,.0f} ops/s")
-        else:
-            line = f"{res.variant} x{res.threads}: FAILED ({res.error})"
-        print(line, file=sys.stderr)
 
     out_fh = None
     if args.out != "-":
@@ -110,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     try:
-        results = run_bench(spec, progress=progress)
+        results = run_bench(spec, progress=print_progress)
         emit_csv(results, out_fh if out_fh is not None else sys.stdout)
     finally:
         if out_fh is not None:

@@ -210,9 +210,13 @@ class RBTree:
         node = self.find_node(key)
         if node is None:
             return False
-        self._marked.discard(key)
-        self._delete_node(node)
+        self.delete_node(node)
         return True
+
+    def delete_node(self, node: Node) -> None:
+        """Physical unlink of a node that ``find_node`` returned."""
+        self._marked.discard(node.key)
+        self._delete_node(node)
 
     def compact(self) -> int:
         """Unlink every soft-deleted node; returns the number removed.

@@ -51,15 +51,15 @@ def _join(t, box, what: str):
     return box["result"]
 
 
-def soft_insert_visibility(variant: str = "V5") -> bool:
-    """A reader before the mark flip sees absence; after it, the new value."""
+def _soft_write_visibility(variant, prepare, write, before, after) -> bool:
+    """Freeze ``write`` at its mark flip: a reader sees ``before`` until the
+    flip lands and ``after`` once it has."""
     key = 13
     m = make_variant(variant, max_nodes=8, max_threads=4)
     try:
         m.register_thread()
-        m.insert(key, 1)
-        m.delete(key)  # soft: node stays, marked deleted
-        assert m.get(key) is None
+        prepare(m, key)
+        assert m.get(key) == before
 
         at_flip = threading.Event()
         resume = threading.Event()
@@ -67,44 +67,6 @@ def soft_insert_visibility(variant: str = "V5") -> bool:
 
         def before_mark_flip(k, to_deleted):
             if not gated:  # freeze only the scenario's own flip
-                gated.append(k)
-                at_flip.set()
-                _await(resume, "release of the gated writer")
-
-        m.tree.test_hooks = SimpleNamespace(before_mark_flip=before_mark_flip)
-
-        def writer():
-            m.register_thread()
-            return m.insert(key, 2)
-
-        t, box = _run_thread(writer)
-        _await(at_flip, "writer to reach the mark flip")
-        assert gated == [key]
-        # value slot is already written, but the flip has not happened:
-        # the key must still read as absent
-        assert m.get(key) is None
-        resume.set()
-        assert _join(t, box, "writer") is True
-        assert m.get(key) == 2
-        return True
-    finally:
-        m.shutdown()
-
-
-def soft_delete_visibility(variant: str = "V5") -> bool:
-    """A reader before the mark flip sees the value; after it, absence."""
-    key = 13
-    m = make_variant(variant, max_nodes=8, max_threads=4)
-    try:
-        m.register_thread()
-        m.insert(key, 7)
-
-        at_flip = threading.Event()
-        resume = threading.Event()
-        gated = []
-
-        def before_mark_flip(k, to_deleted):
-            if not gated:
                 gated.append((k, to_deleted))
                 at_flip.set()
                 _await(resume, "release of the gated writer")
@@ -113,18 +75,37 @@ def soft_delete_visibility(variant: str = "V5") -> bool:
 
         def writer():
             m.register_thread()
-            return m.delete(key)
+            return write(m, key)
 
         t, box = _run_thread(writer)
         _await(at_flip, "writer to reach the mark flip")
-        assert gated == [(key, True)]
-        assert m.get(key) == 7  # still live until the flip lands
+        assert gated == [(key, after is None)]
+        # an insert has already written the value slot, but until the flip
+        # lands the key must still read as before
+        assert m.get(key) == before
         resume.set()
         assert _join(t, box, "writer") is True
-        assert m.get(key) is None
+        assert m.get(key) == after
         return True
     finally:
         m.shutdown()
+
+
+def _insert_then_soft_delete(m, key) -> None:
+    m.insert(key, 1)
+    m.delete(key)  # soft: node stays, marked deleted
+
+
+def soft_insert_visibility(variant: str = "V5") -> bool:
+    """A reader before the mark flip sees absence; after it, the new value."""
+    return _soft_write_visibility(variant, _insert_then_soft_delete,
+                                  lambda m, key: m.insert(key, 2), None, 2)
+
+
+def soft_delete_visibility(variant: str = "V5") -> bool:
+    """A reader before the mark flip sees the value; after it, absence."""
+    return _soft_write_visibility(variant, lambda m, key: m.insert(key, 7),
+                                  lambda m, key: m.delete(key), 7, None)
 
 
 def v6_mark_flag_race() -> bool:

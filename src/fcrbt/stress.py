@@ -76,7 +76,7 @@ class StressReport:
     stop_worlds: int
     compactions: int
     exclusion_violations: int
-    budget_after_stop_world: List[int]  # physical count at each stop-world exit
+    budget_after_stop_world: List[int]  # physical count as each structural write ends
     errors: List[str] = field(default_factory=list)
 
     @property

@@ -2,9 +2,11 @@
 
 import sys
 import threading
+import time
 
 import pytest
 
+from fcrbt import atomics
 from fcrbt.atomics import AtomicInt
 
 THREADS = 4
@@ -48,6 +50,40 @@ def test_concurrent_increments_read_back_exactly():
     assert counter.load() == 3 + THREADS * PAIRS
     assert counter.add(-3) == THREADS * PAIRS
     assert counter.add(2) == THREADS * PAIRS + 2
+
+
+def test_adds_interleaved_between_opcodes_lose_no_unit():
+    # CPython 3.11 switches threads only at calls and backward jumps, so a
+    # plain run never splits an add between its read and its store. Here a
+    # tracer gives up the interpreter between every two opcodes inside the
+    # atomics module: an unguarded read-add-store then loses units.
+    counter = AtomicInt()
+    adds = 300
+
+    def yield_between_opcodes(frame, event, arg):
+        if frame.f_code.co_filename != atomics.__file__:
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            time.sleep(0)
+        return yield_between_opcodes
+
+    def worker():
+        old = sys.gettrace()
+        sys.settrace(yield_between_opcodes)
+        try:
+            for _ in range(adds):
+                counter.add(1)
+        finally:
+            sys.settrace(old)
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(THREADS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60.0)
+    assert not any(t.is_alive() for t in threads), "worker did not finish"
+    assert counter.load() == THREADS * adds
 
 
 def test_counter_never_starts_below_zero():

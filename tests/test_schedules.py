@@ -109,7 +109,7 @@ def test_v1_write_waits_until_no_get_is_in_flight(managed_map, poll):
     poll(readers_held[0].is_set, what="first reader executing")
     r2, b2 = run_in_thread(lambda: reader(2))
     poll(readers_held[1].is_set, what="second reader executing")
-    assert engine.pending_gets.load() == 2  # both delegated and in flight
+    assert engine.pending_ops.load() == 2  # both delegated and in flight
 
     def writer():
         m.register_thread()
@@ -123,14 +123,14 @@ def test_v1_write_waits_until_no_get_is_in_flight(managed_map, poll):
     # the write is claimed but must not run while either get is in flight
     assert "result" not in wb
     reader_gates[0].set()
-    poll(lambda: engine.pending_gets.load() == 1, what="first get released")
+    poll(lambda: engine.pending_ops.load() == 1, what="first get released")
     assert "result" not in wb
     reader_gates[1].set()
 
     assert join_get(r1, b1) == 10
     assert join_get(r2, b2) == 20
     assert join_get(w, wb) is True
-    assert engine.pending_gets.load() == 0
+    assert engine.pending_ops.load() == 0
     assert m.get(1) is None
 
 

@@ -73,6 +73,38 @@ def test_marked_set_survives_fast_switching(variant):
     assert report.exclusion_violations == 0
 
 
+@pytest.mark.parametrize("variant", ["V1", "V2", "V3", "V4"])
+def test_plain_writes_exclude_delegated_gets_under_fast_switching(variant):
+    # Every structural write drains the delegated gets in flight before it
+    # mutates, so no get overlaps an odd epoch. At a 10 us switch interval a
+    # write that skipped the drain overlaps several of the run's 64,000 gets.
+    # The run goes on a helper thread so that no join is unbounded.
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(run_stress(variant, threads=4, ops_per_thread=20_000,
+                                      seed=1, max_nodes=64, key_max=128,
+                                      watchdog_secs=60.0))
+        except Exception as exc:  # handed to the test thread below
+            outcome.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(90.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive(), "stress run did not finish within 90 s"
+    report = outcome[0]
+    assert not isinstance(report, Exception), repr(report)
+    assert report.ok, (report.violations, report.errors)
+    assert report.budget_after_stop_world, "structural writes were not observed"
+    assert report.exclusion_violations == 0
+
+
 @pytest.mark.parametrize("variant", ENGINE_VARIANTS + OPTIONAL_VARIANTS)
 def test_closed_loop_never_waits_on_a_backstop(variant, monkeypatch):
     # Every park times out only after BACKSTOP_MS; at 10 s a lost post shows

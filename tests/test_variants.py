@@ -12,8 +12,6 @@ from fcrbt.oracle import OracleMap
 from fcrbt.runtime import (
     ACT_SOFT_DELETE,
     ACT_SOFT_INSERT,
-    REL_MARK,
-    REL_OPS,
     StopWorldScope,
     VariantConfig,
     WaitStrategy,
@@ -84,19 +82,6 @@ def test_config_rejects_soft_ops_without_stop_world_scope():
         )
 
 
-def test_config_rejects_empty_backoff_schedule():
-    with pytest.raises(ValueError):
-        VariantConfig(
-            id="bad",
-            get_wait=WaitStrategy.SPIN,
-            write_wait=WaitStrategy.BACKOFF_SPIN,
-            soft_ops=False,
-            gets_bypass_queue=False,
-            stop_world_scope=StopWorldScope.NONE,
-            backoff_ms=(),
-        )
-
-
 @pytest.mark.parametrize(
     "base,changes",
     [
@@ -153,6 +138,27 @@ def test_engine_variants_are_flat_combining_maps(managed_map, which):
 
 
 # ---------------------------------------------------------------------------
+# V1 dispatch rules
+# ---------------------------------------------------------------------------
+
+
+def test_v1_structural_write_advances_epoch_without_a_stop_world(managed_map):
+    m = managed_map("V1")
+    m.register_thread()
+    engine = m.engine
+    exits = []
+    engine.test_hooks = SimpleNamespace(on_stop_world_exit=exits.append)
+    assert m.insert(4, 40) is True
+    assert engine.epoch == 2  # odd while the combiner mutated, even again
+    assert exits == [m.tree]
+    assert m.delete(5) is False  # absent: a logged no-op, no mutation
+    assert engine.epoch == 2
+    assert m.delete(4) is True
+    assert engine.epoch == 4
+    assert m.stats.stop_worlds == 0  # no stop flag was raised
+
+
+# ---------------------------------------------------------------------------
 # V5 dispatch rules
 # ---------------------------------------------------------------------------
 
@@ -193,7 +199,6 @@ def test_v5_insert_on_soft_deleted_key_is_delegated_soft_insert(managed_map):
     assert m.get(13) is None
     assert m.insert(13, 131) is True
     assert reg.record.action == ACT_SOFT_INSERT
-    assert reg.record.release == REL_OPS
     assert m.get(13) == 131
 
 
@@ -211,7 +216,6 @@ def test_v5_gets_are_delegated_and_counted(managed_map):
     reg = m.register_thread()
     m.insert(5, 50)
     assert m.get(5) == 50
-    assert reg.record.release == REL_OPS
     assert m.engine.pending_ops.load() == 0  # released on completion
 
 
@@ -238,7 +242,6 @@ def test_v6_writes_are_delegated_with_per_thread_marks(managed_map):
     m.insert(8, 80)
     assert m.delete(8) is True
     assert reg.record.action == ACT_SOFT_DELETE
-    assert reg.record.release == REL_MARK
     assert reg.pending_mark is False  # cleared after execution
 
 
