@@ -10,7 +10,7 @@ sequential map specification. Memoized depth-first search over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from .history import HistoryEvent
 from .ops import OpKind

@@ -1,11 +1,10 @@
 """Flat-combining engine: publication queue, combiner loop, caller wait
-strategies, pending-operation accounting and stop-world signalling.
+strategies, pending-operation accounting and per-thread stop flags.
 
 One dedicated combiner thread owns all structural tree mutation. Callers
 publish an OpRecord, park until the combiner claims it, then wait in one
 loop, _wait_phase2, that reads a row of data from their WaitStrategy: how
-many yield-polls to make, which stop flag to sleep out while raised (none,
-the engine's or their own), and whether the park naps along the backoff
+many yield-polls to make, and whether the park naps along the backoff
 schedule or on the fixed backstop. The future-work variant parks once until
 DONE. The combiner classifies each op once, in _dispatch: a get is delegated
 to its caller, a delete of an absent key is a logged no-op, a soft variant's
@@ -13,13 +12,17 @@ write to a present key becomes a soft action (delegated, or in the
 future-work variant run by the combiner), and every other write is
 structural. Each delegated op in flight is counted once: in pending_ops or,
 under a per-thread stop-world, in its caller's pending mark. Every
-structural write takes one path, _structural_write: raise the scope's stop
-flags (none in V1-V4), drain that count, then mutate with epoch odd. So
-V1-V4 writes advance epoch too, and the exclusion check covers their gets.
+structural write takes one path, _structural_write: under a per-thread
+stop-world raise every caller's stop flag, drain that count, then mutate
+with epoch odd. So V1-V4 writes advance epoch too, and the exclusion check
+covers their gets. A stop flag is kept only where a reader checks it: a get
+that bypasses the queue reads its own. A queued op needs none, since the
+combiner delegates nothing while it runs a structural write.
 
 Every caller<->combiner handoff is one park and one post on a ParkSlot owned
-by the waiter: a caller parks on its record's slot, the combiner on its own
-slot, whether its queue is empty or a gate waits for a caller's accounting.
+by the waiter: a caller parks on its record's slot, or on its registration's
+slot while its stop flag is raised, and the combiner on its own slot,
+whether its queue is empty or a gate waits for a caller's accounting.
 A yield-poll is no cheaper: under the GIL the polling thread queues on the
 interpreter lock, and waking it from there costs more than waking a parked
 thread. Only the phase-2 rows with a poll budget still yield-poll, each with
@@ -92,6 +95,11 @@ BACKSTOP_MS = (50,)
 
 
 class StopWorldScope(Enum):
+    """How a structural write stops the world. Every one drains the delegated
+    ops in flight; under GLOBAL or PER_THREAD it counts in
+    ``stats.stop_worlds``, and PER_THREAD also raises every caller's stop
+    flag, which fences off the gets that bypass the queue."""
+
     NONE = "none"
     GLOBAL = "global"
     PER_THREAD = "per-thread"
@@ -99,21 +107,17 @@ class StopWorldScope(Enum):
 
 class WaitStrategy(Enum):
     """How a caller waits, as one row per member: ``spins`` yield-polls
-    before parking; ``sleeps_out``, the scope whose raised stop flag it sleeps
-    out (GLOBAL: the engine's, PER_THREAD: its own); ``backoff``, whether its
-    park naps along ``BACKOFF_MS`` rather than ``BACKSTOP_MS``."""
+    before parking; ``backoff``, whether its park naps along ``BACKOFF_MS``
+    rather than ``BACKSTOP_MS``."""
 
-    SLEEP_AWAKE = ("sleep-awake", 0, StopWorldScope.NONE, False)
-    SPIN = ("spin", SPIN_BUDGET, StopWorldScope.NONE, False)
-    BACKOFF_SPIN = ("backoff-spin", 0, StopWorldScope.NONE, True)
-    STOP_WORLD_SLEEP = ("stop-world-sleep", SPIN_BUDGET, StopWorldScope.GLOBAL, False)
-    PER_THREAD_FLAG = ("per-thread-flag", SPIN_BUDGET, StopWorldScope.PER_THREAD, False)
+    SLEEP_AWAKE = ("sleep-awake", 0, False)
+    SPIN = ("spin", SPIN_BUDGET, False)
+    BACKOFF_SPIN = ("backoff-spin", 0, True)
 
-    def __new__(cls, value: str, spins: int, sleeps_out: StopWorldScope, backoff: bool):
+    def __new__(cls, value: str, spins: int, backoff: bool):
         member = object.__new__(cls)
         member._value_ = value
         member.spins = spins
-        member.sleeps_out = sleeps_out
         member.backoff = backoff
         return member
 
@@ -140,9 +144,6 @@ class VariantConfig:
             raise ValueError("gets that bypass the queue require a per-thread stop-world")
         if self.future_work and not self.soft_ops:
             raise ValueError("the future-work variant requires soft ops")
-        for wait in (self.get_wait, self.write_wait):
-            if wait.sleeps_out not in (StopWorldScope.NONE, scope):
-                raise ValueError(f"{wait.value} wait needs a {wait.sleeps_out.value} stop-world")
 
 
 def insert_refused(tree: RBTree, node: Optional[Node], budget: int) -> bool:
@@ -215,28 +216,20 @@ class OpRecord:
         self.owner = owner
 
 
-class StopSignal:
-    """A stop-world flag plus the condition its waiters sleep on. The flag is
-    raised bare and lowered under the lock with a notify, so no waiter that
-    saw it raised can miss the lowering. A condition, not a ParkSlot: a global
-    stop-world can have many waiters."""
+class ThreadRegistration:
+    """A registered caller. A per-thread stop-world raises its ``flag``, and
+    its bypassing get, the flag's one reader, parks on ``cond`` while it is
+    raised."""
 
-    __slots__ = ("flag", "cond")
-
-    def __init__(self):
-        self.flag = False
-        self.cond = threading.Condition()
-
-
-class ThreadRegistration(StopSignal):
-    """A registered caller; a per-thread stop-world raises its own signal."""
-
-    __slots__ = ("thread_id", "thread", "pending_mark", "record")
+    __slots__ = ("thread_id", "thread", "flag", "parked", "cond", "pending_mark",
+                 "record")
 
     def __init__(self, thread_id: int, thread: threading.Thread):
-        super().__init__()
         self.thread_id = thread_id
         self.thread = thread  # liveness disambiguates reused thread ids
+        self.flag = False
+        self.parked = False  # the get is (about to be) waiting on cond
+        self.cond = ParkSlot()
         self.pending_mark = False
         # one in-flight op per thread, so the record is reusable
         self.record = OpRecord(self)
@@ -280,11 +273,9 @@ class CombinerEngine:
         # under a per-thread stop-world each caller's pending_mark counts
         # its own instead.
         self.pending_ops = AtomicInt()
-        self.stop = StopSignal()  # raised by a global stop-world
         scope = config.stop_world_scope
+        self._stops_world = scope is not StopWorldScope.NONE
         self._per_thread = scope is StopWorldScope.PER_THREAD
-        # The stop signals a structural write raises, unless per-thread.
-        self._signals = [self.stop] if scope is StopWorldScope.GLOBAL else []
         # The combiner's own slot. It parks there on an empty queue (_parked;
         # a producer posts) or in a gate (_gate_parked; the caller releasing
         # the last accounting posts). A timed nap instead would delay it by
@@ -372,9 +363,7 @@ class CombinerEngine:
         else:
             self._wait_claimed(rec)
             if rec.status < CALLER_EXECUTES:  # the pickup wake often finds more
-                self._wait_phase2(
-                    cfg.get_wait if kind == GET else cfg.write_wait, rec, reg
-                )
+                self._wait_phase2(cfg.get_wait if kind == GET else cfg.write_wait, rec)
             if rec.status == CALLER_EXECUTES:
                 self._execute_delegated(rec, reg)
         if rec.shutdown:
@@ -420,37 +409,16 @@ class CombinerEngine:
         # yield-poll cannot see it claimed; it only delays the wake-up.
         self._park_until(rec, CLAIMED)
 
-    def _wait_phase2(
-        self, strategy: WaitStrategy, rec: OpRecord, reg, threshold: int = CALLER_EXECUTES
-    ) -> None:
+    def _wait_phase2(self, strategy: WaitStrategy, rec: OpRecord) -> None:
         # The one caller wait loop, driven by the strategy's row: yield-poll
-        # up to its budget, sleep out its stop flag whenever that is raised
-        # (the polls start over afterwards), then park along its nap schedule.
-        scope = strategy.sleeps_out
-        stop = None if scope is StopWorldScope.NONE else (
-            self.stop if scope is StopWorldScope.GLOBAL else reg)
-        spins = strategy.spins
-        polls = 0
+        # up to its budget, then park along its nap schedule.
         sleep = time.sleep
-        while rec.status < threshold:
-            if stop is not None and stop.flag:
-                self._sleep_out(stop, lambda: rec.status < threshold)
-                polls = 0
-            elif polls < spins:
-                polls += 1
-                sleep(0)
-            else:
-                naps = BACKOFF_MS if strategy.backoff else BACKSTOP_MS
-                self._park_until(rec, threshold, naps)
+        for _ in range(strategy.spins):
+            if rec.status >= CALLER_EXECUTES:
                 return
-
-    def _sleep_out(self, stop: StopSignal, waiting) -> None:
-        # Sleep while the stop flag is raised and waiting() holds. Pairs with
-        # _structural_write, which lowers the flag and notifies under the lock.
-        cond = stop.cond
-        with cond:
-            while stop.flag and waiting():
-                cond.wait(BACKSTOP_MS[0] / 1000.0)
+            sleep(0)
+        naps = BACKOFF_MS if strategy.backoff else BACKSTOP_MS
+        self._park_until(rec, CALLER_EXECUTES, naps)
 
     # ------------------------------------------------------------------
     # delegated execution (caller side)
@@ -523,7 +491,13 @@ class CombinerEngine:
         hooks = self.test_hooks
         while True:
             if reg.flag:
-                self._sleep_out(reg, lambda: self.running)
+                # Park until the stop-world lowers the flag. parked is stored
+                # before the flag is re-read, and _halt_registrations lowers
+                # it before reading parked, as in _park_until.
+                reg.parked = True
+                while reg.flag and self.running:
+                    reg.cond.wait(BACKSTOP_MS[0] / 1000.0)
+                reg.parked = False
                 if not self.running:
                     # A combiner that crashed mid-stop-world never lowers it.
                     raise ShutdownError("engine is shut down")
@@ -651,9 +625,9 @@ class CombinerEngine:
             self._delegate(rec, action)
 
     def _structural_write(self, rec: OpRecord, node: Optional[Node]) -> None:
-        # The one path that changes the tree's shape: raise the scope's stop
-        # flags, drain the delegated ops in flight, mutate with epoch odd,
-        # compact if the physical budget overflowed, then lower the flags.
+        # The one path that changes the tree's shape: raise the per-thread
+        # stop flags, drain the delegated ops in flight, mutate with epoch
+        # odd, compact if the physical budget overflowed, then lower the flags.
         tree = self.tree
         key = rec.key
         budget = tree.max_nodes
@@ -669,14 +643,12 @@ class CombinerEngine:
             if full:
                 self._finish(rec, False)
                 return
-        per_thread = self._per_thread
-        signals = self._halt_registrations(True) if per_thread else self._signals
-        if signals:
+        if self._stops_world:
             self.stats.stop_worlds += 1
-            for signal in signals:
-                signal.flag = True
+        per_thread = self._per_thread
         if per_thread:
-            self._gate_wait(lambda: not any(reg.pending_mark for reg in signals))
+            regs = self._halt_registrations(True)
+            self._gate_wait(lambda: not any(reg.pending_mark for reg in regs))
         elif self.pending_ops.load():
             po = self.pending_ops
             self._gate_wait(lambda: not po.load())
@@ -702,11 +674,7 @@ class CombinerEngine:
             if cb is not None:
                 cb(tree)
         if per_thread:
-            signals = self._halt_registrations(False)
-        for signal in signals:
-            with signal.cond:
-                signal.flag = False
-                signal.cond.notify_all()
+            self._halt_registrations(False)
 
     def _advance(self, rec: OpRecord, status: int) -> None:
         # Store-then-check pairs with _park_until's set-then-check; sequential
@@ -730,12 +698,18 @@ class CombinerEngine:
         rec.result = result
         self._advance(rec, DONE)
 
-    def _halt_registrations(self, active: bool) -> List[StopSignal]:
-        # Every registration's signal for a per-thread stop-world; _sw_active
+    def _halt_registrations(self, halt: bool) -> List[ThreadRegistration]:
+        # Raise or lower every registration's stop flag for a per-thread
+        # stop-world, posting each get parked on a lowered one; _sw_active
         # halts a thread that registers while the world is stopped.
         with self._reg_lock:
-            self._sw_active = active
-            return list(self._reg_list)
+            self._sw_active = halt
+            regs = list(self._reg_list)
+        for reg in regs:
+            reg.flag = halt
+            if reg.parked and not halt:
+                reg.cond.post()
+        return regs
 
     # ------------------------------------------------------------------
     # shutdown
@@ -749,12 +723,11 @@ class CombinerEngine:
                 break
             rec.shutdown = True
             self._advance(rec, DONE)
-        # release anyone asleep on a stop signal
+        # release any get parked on a stop flag the combiner will not lower
         with self._reg_lock:
-            signals = [self.stop] + self._reg_list
-        for signal in signals:
-            with signal.cond:
-                signal.cond.notify_all()
+            regs = list(self._reg_list)
+        for reg in regs:
+            reg.cond.post()
 
     def shutdown(self) -> None:
         self.running = False

@@ -10,13 +10,13 @@ import threading
 import traceback
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .history import HistoryEvent, HistoryRecorder
 from .oracle import replay_writes
 from .ops import Op, OpKind
 from .variants import make_variant
-from .workload import WorkloadSpec, generate_ops, mix_seed, split_ops
+from .workload import WorkloadSpec, generate_ops, mix_seed
 
 
 class DeadlockError(RuntimeError):
@@ -133,10 +133,9 @@ def run_stress(
         return run
 
     start = perf_counter()
-    try:
-        errors = run_workers([worker(i) for i in range(threads)], watchdog_secs)
-    except DeadlockError:
-        raise  # leave the map un-shut-down: joining a wedged combiner hangs
+    # On a DeadlockError the map is left un-shut-down: joining a wedged
+    # combiner hangs.
+    errors = run_workers([worker(i) for i in range(threads)], watchdog_secs)
     elapsed = perf_counter() - start
 
     report = m.validate()
@@ -197,10 +196,8 @@ def run_recorded_history(
 
         return run
 
-    try:
-        errors = run_workers([worker(i) for i in range(threads)], watchdog_secs)
-    except DeadlockError:
-        raise
+    # On a DeadlockError the map is left un-shut-down, as in run_stress.
+    errors = run_workers([worker(i) for i in range(threads)], watchdog_secs)
     m.shutdown()
     if errors:
         raise RuntimeError(f"history workers failed: {errors!r}")

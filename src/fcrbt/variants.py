@@ -10,9 +10,12 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Union
 
-from .ops import Op, OpKind, OpResult
+from .ops import Op, OpResult
 from .rbtree import RBTree
 from .runtime import (
+    DELETE,
+    GET,
+    INSERT,
     CombinerEngine,
     EngineStats,
     StopWorldScope,
@@ -31,10 +34,10 @@ VARIANTS = {
     "V3": VariantConfig("V3", S.SPIN, S.BACKOFF_SPIN, False, False,
                         StopWorldScope.NONE),
     "V4": VariantConfig("V4", S.SPIN, S.SPIN, False, False, StopWorldScope.NONE),
-    "V5": VariantConfig("V5", S.SPIN, S.STOP_WORLD_SLEEP, True, False,
+    "V5": VariantConfig("V5", S.SPIN, S.SLEEP_AWAKE, True, False,
                         StopWorldScope.GLOBAL),
     # V6 gets never touch the queue, so its get_wait slot is inert.
-    "V6": VariantConfig("V6", S.SPIN, S.PER_THREAD_FLAG, True, True,
+    "V6": VariantConfig("V6", S.SPIN, S.SLEEP_AWAKE, True, True,
                         StopWorldScope.PER_THREAD),
     "FutureWork": VariantConfig("FutureWork", S.SLEEP_AWAKE, S.SLEEP_AWAKE, True,
                                 True, StopWorldScope.PER_THREAD, future_work=True),
@@ -77,19 +80,19 @@ class FlatCombiningMap:
     def get(self, key: int) -> Optional[int]:
         if self._bypass:
             return self.engine.bypass_get(key)
-        return self.engine.submit(OpKind.GET, key)
+        return self.engine.submit(GET, key)
 
     def insert(self, key: int, value: int) -> bool:
-        return self.engine.submit(OpKind.INSERT, key, value)
+        return self.engine.submit(INSERT, key, value)
 
     def delete(self, key: int) -> bool:
-        return self.engine.submit(OpKind.DELETE, key)
+        return self.engine.submit(DELETE, key)
 
     def apply(self, op: Op) -> OpResult:
         kind, key, value = op
-        if kind == OpKind.GET:
+        if kind == GET:
             return self.get(key)
-        if kind == OpKind.INSERT:
+        if kind == INSERT:
             return self.insert(key, value)
         return self.delete(key)
 
@@ -140,14 +143,14 @@ class CoarseLockMap:
             else:
                 outcome = tree.insert(key, value)
             if self.effect_log is not None:
-                self.effect_log.append((OpKind.INSERT, key, value, outcome))
+                self.effect_log.append((INSERT, key, value, outcome))
             return outcome
 
     def delete(self, key: int) -> bool:
         with self._lock:
             outcome = self.tree.delete(key)
             if self.effect_log is not None:
-                self.effect_log.append((OpKind.DELETE, key, None, outcome))
+                self.effect_log.append((DELETE, key, None, outcome))
             return outcome
 
     apply = FlatCombiningMap.apply

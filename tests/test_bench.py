@@ -13,7 +13,6 @@ from fcrbt.bench import (
     run_bench,
     run_cell,
 )
-from fcrbt.ops import OpKind
 from fcrbt.variants import ALL_VARIANTS, OPTIONAL_VARIANTS
 from fcrbt.workload import WorkloadSpec
 

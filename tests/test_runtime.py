@@ -18,7 +18,6 @@ from fcrbt.runtime import (
     ACT_SOFT_INSERT,
     BACKOFF_MS,
     CALLER_EXECUTES,
-    CLAIMED,
     DONE,
     PENDING,
     RegistrationError,
@@ -30,28 +29,15 @@ from fcrbt.runtime import (
 
 
 class CondRecorder:
-    """Wraps a Condition or a record's park slot, recording every wait
-    timeout passed through it."""
+    """Wraps a park slot, recording every wait timeout passed through it."""
 
     def __init__(self, real):
         self._real = real
         self.timeouts = []
 
-    def __enter__(self):
-        return self._real.__enter__()
-
-    def __exit__(self, *exc):
-        return self._real.__exit__(*exc)
-
     def wait(self, timeout=None):
         self.timeouts.append(timeout)
         return self._real.wait(timeout)
-
-    def notify(self, n=1):
-        self._real.notify(n)
-
-    def notify_all(self):
-        self._real.notify_all()
 
     def post(self):
         self._real.post()
@@ -339,8 +325,6 @@ def test_backoff_waiter_walks_the_schedule(managed_map, poll):
         WaitStrategy.SPIN,
         WaitStrategy.SLEEP_AWAKE,
         WaitStrategy.BACKOFF_SPIN,
-        WaitStrategy.STOP_WORLD_SLEEP,
-        WaitStrategy.PER_THREAD_FLAG,
     ],
 )
 def test_wait_returns_immediately_when_already_complete(managed_map, strategy):
@@ -349,35 +333,7 @@ def test_wait_returns_immediately_when_already_complete(managed_map, strategy):
     rec = reg.record
     rec.status = DONE
     rec.cond = CondRecorder(rec.cond)
-    m.engine._wait_phase2(strategy, rec, reg)
-    assert rec.cond.timeouts == []
-
-
-@pytest.mark.parametrize(
-    "which,strategy",
-    [("V5", WaitStrategy.STOP_WORLD_SLEEP), ("V6", WaitStrategy.PER_THREAD_FLAG)],
-)
-def test_stop_sleep_rows_sleep_out_a_raised_flag(managed_map, poll, which, strategy):
-    m = managed_map(which)
-    engine = m.engine
-    reg = m.register_thread()
-    rec = reg.record
-    # the engine-wide signal for V5's global stop-world, the caller's own for V6
-    stop = engine.stop if strategy is WaitStrategy.STOP_WORLD_SLEEP else reg
-    stop.flag = True
-    stop.cond = CondRecorder(stop.cond)
-    rec.cond = CondRecorder(rec.cond)
-    rec.status = CLAIMED
-
-    t, out = run_in_thread(engine._wait_phase2, strategy, rec, reg)
-    poll(lambda: stop.cond.timeouts, what="waiter asleep on the stop condition")
-    assert rec.cond.timeouts == []  # slept on the stop condition, not parked
-
-    with stop.cond:
-        rec.status = DONE
-        stop.flag = False
-        stop.cond.notify_all()
-    join_and_get(t, out, timeout=5.0)
+    m.engine._wait_phase2(strategy, rec)
     assert rec.cond.timeouts == []
 
 
@@ -499,10 +455,57 @@ def test_claim_crash_aborts_the_waiting_caller(managed_map):
     assert engine.join_combiner(5.0)
 
 
+def test_lowered_stop_flag_posts_the_parked_reader(managed_map, poll, monkeypatch):
+    # A V6 reader that finds its stop flag raised parks on its registration's
+    # slot. With the backstop at 10 s only the post that lowers the flag can
+    # wake it in time.
+    monkeypatch.setattr(runtime, "BACKSTOP_MS", (10_000,))
+    m = managed_map("V6", max_nodes=4)
+    engine = m.engine
+    m.register_thread()
+    m.insert(0, 7)
+    registered = threading.Event()
+    go = threading.Event()
+    release = threading.Event()
+    regs = []
+
+    def reader():
+        regs.append(m.register_thread())
+        registered.set()
+        assert go.wait(10.0)
+        return m.get(0)
+
+    r, r_out = run_in_thread(reader)
+    assert registered.wait(10.0)
+    stop = regs[0]
+    stop.cond = CondRecorder(stop.cond)
+
+    def on_stop_world_exit(tree):
+        go.set()  # the reader enters bypass_get with its flag still raised
+        assert release.wait(10.0)
+
+    engine.test_hooks = SimpleNamespace(on_stop_world_exit=on_stop_world_exit)
+
+    def writer():
+        m.register_thread()
+        return m.insert(1, 10)  # absent key: a physical insert behind stop-world
+
+    w, w_out = run_in_thread(writer)
+    poll(lambda: 10.0 in stop.cond.timeouts, what="reader parked on its raised flag")
+    assert "result" not in r_out
+    start = time.monotonic()
+    release.set()
+    assert join_and_get(r, r_out, timeout=5.0) == 7
+    assert time.monotonic() - start < 1.0
+    assert join_and_get(w, w_out) is True
+
+
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_bypass_get_aborts_after_a_crash_inside_stop_world(managed_map):
+def test_bypass_get_aborts_after_a_crash_inside_stop_world(managed_map, monkeypatch):
     # The combiner dies inside a stop-world, so the reader's stop flag is
-    # never lowered; the reader must give up once the engine is down.
+    # never lowered; the reader must give up once the engine is down. With
+    # the backstop at 10 s only the shutdown drain's post wakes it in time.
+    monkeypatch.setattr(runtime, "BACKSTOP_MS", (10_000,))
     m = managed_map("V6", max_nodes=4)
     engine = m.engine
     m.register_thread()

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from fcrbt import runtime
-from fcrbt.ops import OpKind
 from fcrbt.stress import DeadlockError, run_stress, run_workers
 from fcrbt.variants import ENGINE_VARIANTS, OPTIONAL_VARIANTS, make_variant
 from fcrbt.workload import WorkloadSpec, generate_ops
@@ -40,19 +39,14 @@ def test_stress_replay_matches_for_every_variant(variant):
     assert report.exclusion_violations == 0
 
 
-@pytest.mark.parametrize("variant", ["V5", "V6", "FutureWork"])
-def test_marked_set_survives_fast_switching(variant):
-    # Callers flip marks (and the tree's marked-key set) while the combiner
-    # compacts; a 10 us switch interval interleaves them finely. The run goes
-    # on a helper thread so that no join, the combiner's included, is
-    # unbounded.
+def run_stress_fast_switching(variant, **kw):
+    # run_stress at a 10 us switch interval, on a helper thread so that no
+    # join, the combiner's included, is unbounded.
     outcome = []
 
     def run():
         try:
-            outcome.append(run_stress(variant, threads=4, ops_per_thread=3000,
-                                      seed=13, max_nodes=16, key_max=32,
-                                      watchdog_secs=60.0))
+            outcome.append(run_stress(variant, watchdog_secs=60.0, **kw))
         except Exception as exc:  # handed to the test thread below
             outcome.append(exc)
 
@@ -67,6 +61,15 @@ def test_marked_set_survives_fast_switching(variant):
     assert not runner.is_alive(), "stress run did not finish within 90 s"
     report = outcome[0]
     assert not isinstance(report, Exception), repr(report)
+    return report
+
+
+@pytest.mark.parametrize("variant", ["V5", "V6", "FutureWork"])
+def test_marked_set_survives_fast_switching(variant):
+    # Callers flip marks (and the tree's marked-key set) while the combiner
+    # compacts; a 10 us switch interval interleaves them finely.
+    report = run_stress_fast_switching(variant, threads=4, ops_per_thread=3000,
+                                       seed=13, max_nodes=16, key_max=32)
     assert report.validate_ok, report.violations
     assert report.replay_ok and not report.errors, report.errors
     assert report.compactions >= 1
@@ -78,28 +81,8 @@ def test_plain_writes_exclude_delegated_gets_under_fast_switching(variant):
     # Every structural write drains the delegated gets in flight before it
     # mutates, so no get overlaps an odd epoch. At a 10 us switch interval a
     # write that skipped the drain overlaps several of the run's 64,000 gets.
-    # The run goes on a helper thread so that no join is unbounded.
-    outcome = []
-
-    def run():
-        try:
-            outcome.append(run_stress(variant, threads=4, ops_per_thread=20_000,
-                                      seed=1, max_nodes=64, key_max=128,
-                                      watchdog_secs=60.0))
-        except Exception as exc:  # handed to the test thread below
-            outcome.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(90.0)
-    finally:
-        sys.setswitchinterval(old)
-    assert not runner.is_alive(), "stress run did not finish within 90 s"
-    report = outcome[0]
-    assert not isinstance(report, Exception), repr(report)
+    report = run_stress_fast_switching(variant, threads=4, ops_per_thread=20_000,
+                                       seed=1, max_nodes=64, key_max=128)
     assert report.ok, (report.violations, report.errors)
     assert report.budget_after_stop_world, "structural writes were not observed"
     assert report.exclusion_violations == 0

@@ -40,8 +40,8 @@ def test_variant_table_wait_strategies():
         "V2": (S.SPIN, S.SLEEP_AWAKE, False, False, StopWorldScope.NONE),
         "V3": (S.SPIN, S.BACKOFF_SPIN, False, False, StopWorldScope.NONE),
         "V4": (S.SPIN, S.SPIN, False, False, StopWorldScope.NONE),
-        "V5": (S.SPIN, S.STOP_WORLD_SLEEP, True, False, StopWorldScope.GLOBAL),
-        "V6": (S.SPIN, S.PER_THREAD_FLAG, True, True, StopWorldScope.PER_THREAD),
+        "V5": (S.SPIN, S.SLEEP_AWAKE, True, False, StopWorldScope.GLOBAL),
+        "V6": (S.SPIN, S.SLEEP_AWAKE, True, True, StopWorldScope.PER_THREAD),
     }
     for vid, row in expected.items():
         cfg = VARIANTS[vid]
@@ -90,13 +90,8 @@ def test_config_rejects_soft_ops_without_stop_world_scope():
         ("V5", dict(gets_bypass_queue=True)),
         # the combiner executes soft actions only
         ("FutureWork", dict(soft_ops=False)),
-        # each wait sleeps out a flag that the configured scope never raises
-        ("V6", dict(write_wait=WaitStrategy.STOP_WORLD_SLEEP)),
-        ("V5", dict(write_wait=WaitStrategy.PER_THREAD_FLAG)),
-        ("V4", dict(get_wait=WaitStrategy.STOP_WORLD_SLEEP)),
     ],
-    ids=["bypass-global", "future-work-hard", "global-sleep-per-thread",
-         "per-thread-flag-global", "global-sleep-no-scope"],
+    ids=["bypass-global", "future-work-hard"],
 )
 def test_config_rejects_unsafe_shapes(base, changes):
     with pytest.raises(ValueError):
