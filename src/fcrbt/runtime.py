@@ -30,9 +30,16 @@ time.sleep(0), since an unyielding spinner would hold the interpreter for a
 whole switch interval per iteration, and a caller whose pickup wake already
 finds its record delegated or done skips phase 2. Every park that does not
 back off times out after BACKSTOP_MS, read at each park, as a backstop
-against a lost post. The combiner thread runs under the batch scheduling
-policy where the OS has one, so a caller's post never preempts the caller:
-the combiner runs once the caller parks and drops the interpreter lock.
+against a lost post. Both sides of a handoff run under the batch scheduling
+policy where the OS has one: the combiner thread moves itself there, and so
+does every thread that registers, for the rest of its life (threads it
+starts later inherit the policy). A post then never preempts the thread that
+makes it. A caller's post leaves the caller running until it parks and drops
+the interpreter lock; the combiner's post leaves the combiner running until
+its turn ends and it parks, so the woken caller runs then, and the
+combiner's next wake finds every record queued meanwhile. A thread under any
+other policy (real-time, idle, deadline) is left alone, and one the OS
+refuses stays as it was.
 
 Visibility notes, used throughout instead of per-field locks: plain attribute
 loads and stores are GIL-atomic, and the GIL serializes them into a single
@@ -80,6 +87,20 @@ def backoff_timeout(schedule_ms, attempt: int) -> float:
     """
     last = len(schedule_ms) - 1
     return schedule_ms[attempt if attempt < last else last] / 1000.0
+
+
+def batch_policy() -> None:
+    """Move the calling thread from the normal scheduling policy to the batch
+    one. A batch thread never preempts the thread that wakes it (sched(7)):
+    a preempting thread would find the interpreter lock held and block again,
+    two more context switches per handoff. The move needs no privilege; a
+    thread under any other policy keeps it, and a refusal changes nothing."""
+    try:
+        if os.sched_getscheduler(0) == os.SCHED_OTHER:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):  # no such call or policy here, or refused
+        pass
+
 
 # Delegated-action codes the combiner attaches before CALLER_EXECUTES.
 ACT_GET = 0
@@ -332,6 +353,7 @@ class CombinerEngine:
             reg.flag = self._sw_active
             self.registrations[ident] = reg
             self._reg_list.append(reg)
+        batch_policy()  # so a combiner's post never preempts the combiner
         return reg
 
     def _own_registration(self) -> ThreadRegistration:
@@ -537,15 +559,7 @@ class CombinerEngine:
     # ------------------------------------------------------------------
 
     def _combiner_loop(self) -> None:
-        # A batch-policy thread never preempts the thread that wakes it
-        # (sched(7)), so a producer's post leaves the producer running until
-        # it parks and drops the interpreter lock. A preempting combiner would
-        # find that lock held and block again: two more context switches per
-        # handoff. The policy is this thread's own and needs no privilege.
-        try:
-            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
-        except (AttributeError, OSError):  # no such call or policy here, or refused
-            pass
+        batch_policy()
         queue = self.queue
         popleft = queue.popleft
         wake = self._wake

@@ -258,9 +258,47 @@ def test_combiner_runs_under_the_batch_policy(managed_map):
     assert os.sched_getscheduler(m.engine._thread.native_id) == os.SCHED_BATCH
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getscheduler"), reason="no scheduling policies here"
+)
+@pytest.mark.parametrize("which", ["V1", "V6", "FutureWork"])
+def test_registered_caller_runs_under_the_batch_policy(managed_map, which):
+    m = managed_map(which)
+
+    def register():
+        # a new thread inherits its creator's policy; start from the normal one
+        os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+        before = os.sched_getscheduler(0)
+        m.register_thread()
+        assert m.insert(1, 10) is True
+        return before, os.sched_getscheduler(0)
+
+    assert join_and_get(*run_in_thread(register)) == (os.SCHED_OTHER, os.SCHED_BATCH)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getscheduler"), reason="no scheduling policies here"
+)
+def test_registration_leaves_an_idle_policy_alone(managed_map):
+    m = managed_map("V1")
+
+    def register():
+        os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+        m.register_thread()
+        assert m.insert(1, 10) is True
+        return os.sched_getscheduler(0)
+
+    assert join_and_get(*run_in_thread(register)) == os.SCHED_IDLE
+
+
 @pytest.mark.parametrize("which", ["V1", "V6", "FutureWork"])
 def test_refused_batch_policy_leaves_the_map_correct(managed_map, monkeypatch, which):
+    real_set = getattr(os, "sched_setscheduler", None)
+    has_policies = real_set is not None and hasattr(os, "sched_getscheduler")
+    refused = []
+
     def refuse(*args):
+        refused.append(threading.get_ident())
         raise OSError("policy refused")
 
     monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
@@ -273,8 +311,20 @@ def test_refused_batch_policy_leaves_the_map_correct(managed_map, monkeypatch, w
     oracle = OracleMap(max_live=8)
     expected = [oracle.apply(op) for op in script]
     m = managed_map(which, max_nodes=8)
+
+    def worker():
+        # A worker that would move to the batch policy registers while the
+        # move is refused, then runs the first half of the script.
+        if has_policies:
+            real_set(0, os.SCHED_OTHER, os.sched_param(0))
+        m.register_thread()
+        return threading.get_ident(), [m.apply(op) for op in script[:300]]
+
+    ident, first = join_and_get(*run_in_thread(worker))
+    if has_policies:
+        assert ident in refused
     m.register_thread()
-    assert [m.apply(op) for op in script] == expected
+    assert first + [m.apply(op) for op in script[300:]] == expected
     assert m.validate().ok
 
 
