@@ -22,7 +22,6 @@ _SOURCES = {
         "EngineStats",
         "RegistrationError",
         "ShutdownError",
-        "StopWorldScope",
         "WaitStrategy",
     ),
     "schedules": ("SCENARIOS", "run_scenario"),

@@ -1,5 +1,5 @@
 """Flat-combining engine: publication queue, combiner loop, caller wait
-strategies, pending-operation accounting and per-thread stop flags.
+strategies, the delegated-op drain and per-thread stop flags.
 
 One dedicated combiner thread owns all structural tree mutation. Callers
 publish an OpRecord, park until the combiner claims it, then wait in one
@@ -10,19 +10,20 @@ DONE. The combiner classifies each op once, in _dispatch: a get is delegated
 to its caller, a delete of an absent key is a logged no-op, a soft variant's
 write to a present key becomes a soft action (delegated, or in the
 future-work variant run by the combiner), and every other write is
-structural. Each delegated op in flight is counted once: in pending_ops or,
-under a per-thread stop-world, in its caller's pending mark. Every
-structural write takes one path, _structural_write: under a per-thread
-stop-world raise every caller's stop flag, drain that count, then mutate
-with epoch odd. So V1-V4 writes advance epoch too, and the exclusion check
-covers their gets. A stop flag is kept only where a reader checks it: a get
-that bypasses the queue reads its own. A queued op needs none, since the
+structural. A delegated op is in flight exactly while its record's status
+reads CALLER_EXECUTES, so the records are the count; a get that bypasses
+the queue counts itself in its caller's pending mark. Every structural
+write takes one path, _structural_write: where gets bypass the queue raise
+every caller's stop flag, wait until _drained(), then mutate with epoch
+odd. So V1-V4 writes advance epoch too, and the exclusion check covers
+their gets. A stop flag is kept only where a reader checks it: a get that
+bypasses the queue reads its own. A queued op needs none, since the
 combiner delegates nothing while it runs a structural write.
 
 Every caller<->combiner handoff is one park and one post on a ParkSlot owned
 by the waiter: a caller parks on its record's slot, or on its registration's
 slot while its stop flag is raised, and the combiner on its own slot,
-whether its queue is empty or a gate waits for a caller's accounting.
+whether its queue is empty or a gate waits for a delegated op to finish.
 A yield-poll is no cheaper: under the GIL the polling thread queues on the
 interpreter lock, and waking it from there costs more than waking a parked
 thread. Only the phase-2 rows with a poll budget still yield-poll, each with
@@ -44,8 +45,8 @@ refuses stays as it was.
 Visibility notes, used throughout instead of per-field locks: plain attribute
 loads and stores are GIL-atomic, and the GIL serializes them into a single
 total order, so flag/mark/status handshakes (store A then read B vs. store B
-then read A) cannot both miss. Read-modify-write counters use AtomicInt,
-whose adds are single GIL-atomic deque calls and take no lock.
+then read A) cannot both miss. The registrations are a tuple replaced
+whole under _reg_lock, so the combiner scans it without the lock.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .atomics import AtomicInt
 from .ops import OpKind
 from .rbtree import Node, RBTree
 
@@ -115,17 +115,6 @@ BACKOFF_MS = (1, 3, 10, 20, 50, 100, 200, 500, 1000, 3033, 5000)
 BACKSTOP_MS = (50,)
 
 
-class StopWorldScope(Enum):
-    """How a structural write stops the world. Every one drains the delegated
-    ops in flight; under GLOBAL or PER_THREAD it counts in
-    ``stats.stop_worlds``, and PER_THREAD also raises every caller's stop
-    flag, which fences off the gets that bypass the queue."""
-
-    NONE = "none"
-    GLOBAL = "global"
-    PER_THREAD = "per-thread"
-
-
 class WaitStrategy(Enum):
     """How a caller waits, as one row per member: ``spins`` yield-polls
     before parking; ``backoff``, whether its park naps along ``BACKOFF_MS``
@@ -145,24 +134,18 @@ class WaitStrategy(Enum):
 
 @dataclass(frozen=True)
 class VariantConfig:
-    """One engine, many shapes: each variant is a row of this table."""
+    """One engine, many shapes: each variant is a row of this table. Where
+    gets bypass the queue, every structural write raises the callers' stop
+    flags, the only fence such a get has."""
 
     id: str
     get_wait: WaitStrategy
     write_wait: WaitStrategy
     soft_ops: bool
     gets_bypass_queue: bool
-    stop_world_scope: StopWorldScope
     future_work: bool = False
 
     def __post_init__(self):
-        scope = self.stop_world_scope
-        if self.soft_ops and scope is StopWorldScope.NONE:
-            raise ValueError("soft ops require a stop-world scope")
-        # A bypassing get is fenced off a stop-world mutation only by its
-        # caller's stop flag and pending mark.
-        if self.gets_bypass_queue and scope is not StopWorldScope.PER_THREAD:
-            raise ValueError("gets that bypass the queue require a per-thread stop-world")
         if self.future_work and not self.soft_ops:
             raise ValueError("the future-work variant requires soft ops")
 
@@ -238,9 +221,10 @@ class OpRecord:
 
 
 class ThreadRegistration:
-    """A registered caller. A per-thread stop-world raises its ``flag``, and
-    its bypassing get, the flag's one reader, parks on ``cond`` while it is
-    raised."""
+    """A registered caller. A structural write raises its ``flag`` where gets
+    bypass the queue; its bypassing get, the flag's one reader, parks on
+    ``cond`` while the flag is raised and holds ``pending_mark`` while it
+    reads the tree."""
 
     __slots__ = ("thread_id", "thread", "flag", "parked", "cond", "pending_mark",
                  "record")
@@ -258,7 +242,7 @@ class ThreadRegistration:
 
 @dataclass
 class EngineStats:
-    stop_worlds: int = 0
+    stop_worlds: int = 0  # structural writes of a soft variant
     compactions: int = 0
     get_retries: int = 0  # bypass-get fast-path aborts (stop flag races)
 
@@ -287,20 +271,16 @@ class CombinerEngine:
         self.max_threads = max_threads
         self.queue: deque = deque()
         self.registrations: dict = {}
-        self._reg_list: List[ThreadRegistration] = []
+        # Replaced whole under _reg_lock, never changed in place: the combiner
+        # scans it without the lock for records at CALLER_EXECUTES, the one
+        # count of delegated ops in flight.
+        self._regs: Tuple[ThreadRegistration, ...] = ()
         self._reg_lock = threading.Lock()
 
-        # Delegated ops in flight, drained before every structural write;
-        # under a per-thread stop-world each caller's pending_mark counts
-        # its own instead.
-        self.pending_ops = AtomicInt()
-        scope = config.stop_world_scope
-        self._stops_world = scope is not StopWorldScope.NONE
-        self._per_thread = scope is StopWorldScope.PER_THREAD
         # The combiner's own slot. It parks there on an empty queue (_parked;
-        # a producer posts) or in a gate (_gate_parked; the caller releasing
-        # the last accounting posts). A timed nap instead would delay it by
-        # milliseconds while callers wait on it.
+        # a producer posts) or in a gate (_gate_parked; a caller that ends a
+        # delegated op or clears its pending mark posts). A timed nap instead
+        # would delay it by milliseconds while callers wait on it.
         self._wake = ParkSlot()
         self._parked = False
         self._gate_parked = False
@@ -343,7 +323,7 @@ class CombinerEngine:
                 # The OS reused a dead worker's thread id: free its slot. A
                 # dead owner has no op in flight, so dropping the reg is safe.
                 del self.registrations[ident]
-                self._reg_list.remove(stale)
+                self._regs = tuple(r for r in self._regs if r is not stale)
             if len(self.registrations) >= self.max_threads:
                 raise RegistrationError(
                     f"capacity {self.max_threads} reached, registration rejected"
@@ -352,7 +332,7 @@ class CombinerEngine:
             # A thread that registers mid-stop-world must start out halted.
             reg.flag = self._sw_active
             self.registrations[ident] = reg
-            self._reg_list.append(reg)
+            self._regs += (reg,)
         batch_policy()  # so a combiner's post never preempts the combiner
         return reg
 
@@ -387,7 +367,7 @@ class CombinerEngine:
             if rec.status < CALLER_EXECUTES:  # the pickup wake often finds more
                 self._wait_phase2(cfg.get_wait if kind == GET else cfg.write_wait, rec)
             if rec.status == CALLER_EXECUTES:
-                self._execute_delegated(rec, reg)
+                self._execute_delegated(rec)
         if rec.shutdown:
             raise ShutdownError("operation aborted by shutdown")
         return rec.result
@@ -446,7 +426,7 @@ class CombinerEngine:
     # delegated execution (caller side)
     # ------------------------------------------------------------------
 
-    def _execute_delegated(self, rec: OpRecord, reg: ThreadRegistration) -> None:
+    def _execute_delegated(self, rec: OpRecord) -> None:
         checking = self.exclusion_violations is not None
         e1 = self.epoch if checking else 0
         try:
@@ -454,21 +434,14 @@ class CombinerEngine:
             if checking:
                 self._note_epochs(e1)
         finally:
-            # The release must happen even if the op blew up, or the combiner
-            # would wait on this accounting forever. Releasing the last of it
-            # posts a combiner parked in _gate_wait. The count read after the
-            # release cannot hide the last one: only the combiner adds to it,
-            # and it parks only after storing _gate_parked and reading a
-            # non-zero count, so no add comes between the last release and
-            # its read while the combiner is parked.
-            if self._per_thread:
-                reg.pending_mark = False
-                drained = True
-            else:
-                drained = not self.pending_ops.add(-1)
-            if drained and self._gate_parked:
-                self._wake.post()
+            # DONE must be stored even if the op blew up: leaving
+            # CALLER_EXECUTES is what ends this op's count, and a combiner
+            # parked in _gate_wait would wait on it forever. The store comes
+            # before the read of _gate_parked, as in _park_until: either the
+            # combiner's re-check sees DONE, or we see it parked and post.
             rec.status = DONE
+            if self._gate_parked:
+                self._wake.post()
 
     def _run_action(self, action: int, rec: OpRecord, node: Optional[Node]):
         # One delegated action, run by its caller or, in the future-work
@@ -599,14 +572,27 @@ class CombinerEngine:
                 self._drain()
                 raise
 
-    def _gate_wait(self, ready) -> None:
-        # Combiner-side wait for caller-held accounting to drain: park, and
-        # the caller that releases the last of it posts. _gate_parked is
-        # stored before ready() is re-checked, and each releaser stores its
-        # release before reading _gate_parked, as in _park_until.
+    def _drained(self) -> bool:
+        # No delegated op in flight and no bypassing get marked. The combiner
+        # delegates nothing while it drains, and a get that marks itself
+        # under a raised stop flag backs out, so a true result holds until
+        # the write ends. A thread that registers meanwhile has no record
+        # delegated, and starts out halted (_sw_active).
+        for reg in self._regs:
+            if reg.record.status == CALLER_EXECUTES or reg.pending_mark:
+                return False
+        return True
+
+    def _gate_wait(self) -> None:
+        # Combiner-side wait until _drained(): park, and each caller that
+        # ends a delegated op or clears its mark posts. _gate_parked is
+        # stored before the re-check, and each caller stores its change
+        # before reading _gate_parked, as in _park_until.
+        if self._drained():
+            return
         wake = self._wake
         self._gate_parked = True
-        while not ready():
+        while not self._drained():
             wake.wait(BACKSTOP_MS[0] / 1000.0)
         self._gate_parked = False
 
@@ -639,9 +625,10 @@ class CombinerEngine:
             self._delegate(rec, action)
 
     def _structural_write(self, rec: OpRecord, node: Optional[Node]) -> None:
-        # The one path that changes the tree's shape: raise the per-thread
-        # stop flags, drain the delegated ops in flight, mutate with epoch
-        # odd, compact if the physical budget overflowed, then lower the flags.
+        # The one path that changes the tree's shape: raise the stop flags
+        # if gets bypass the queue, drain the delegated ops in flight, mutate
+        # with epoch odd, compact if the physical budget overflowed, then
+        # lower the flags.
         tree = self.tree
         key = rec.key
         budget = tree.max_nodes
@@ -657,15 +644,13 @@ class CombinerEngine:
             if full:
                 self._finish(rec, False)
                 return
-        if self._stops_world:
+        cfg = self.config
+        if cfg.soft_ops:
             self.stats.stop_worlds += 1
-        per_thread = self._per_thread
-        if per_thread:
-            regs = self._halt_registrations(True)
-            self._gate_wait(lambda: not any(reg.pending_mark for reg in regs))
-        elif self.pending_ops.load():
-            po = self.pending_ops
-            self._gate_wait(lambda: not po.load())
+        halt = cfg.gets_bypass_queue
+        if halt:
+            self._halt_registrations(True)
+        self._gate_wait()
         self.epoch += 1  # odd: exclusive mutation phase begins
         with tree.mark_lock:  # uncontended now; taken for log stamping
             if insert:
@@ -687,7 +672,7 @@ class CombinerEngine:
             cb = getattr(hooks, "on_stop_world_exit", None)
             if cb is not None:
                 cb(tree)
-        if per_thread:
+        if halt:
             self._halt_registrations(False)
 
     def _advance(self, rec: OpRecord, status: int) -> None:
@@ -698,13 +683,9 @@ class CombinerEngine:
             rec.cond.post()
 
     def _delegate(self, rec: OpRecord, action: int) -> None:
-        # Count the op in flight (see _execute_delegated) before
-        # CALLER_EXECUTES becomes visible, so a later drain is guaranteed to
-        # wait for it.
-        if self._per_thread:
-            rec.owner.pending_mark = True
-        else:
-            self.pending_ops.add(1)
+        # CALLER_EXECUTES counts the op in flight until its caller stores
+        # DONE (see _execute_delegated); only the combiner stores it, so no
+        # op is delegated while a drain runs.
         rec.action = action
         self._advance(rec, CALLER_EXECUTES)
 
@@ -712,18 +693,17 @@ class CombinerEngine:
         rec.result = result
         self._advance(rec, DONE)
 
-    def _halt_registrations(self, halt: bool) -> List[ThreadRegistration]:
-        # Raise or lower every registration's stop flag for a per-thread
-        # stop-world, posting each get parked on a lowered one; _sw_active
-        # halts a thread that registers while the world is stopped.
+    def _halt_registrations(self, halt: bool) -> None:
+        # Raise or lower every registration's stop flag, posting each get
+        # parked on a lowered one; _sw_active halts a thread that registers
+        # while the world is stopped.
         with self._reg_lock:
             self._sw_active = halt
-            regs = list(self._reg_list)
+            regs = self._regs
         for reg in regs:
             reg.flag = halt
             if reg.parked and not halt:
                 reg.cond.post()
-        return regs
 
     # ------------------------------------------------------------------
     # shutdown
@@ -738,9 +718,7 @@ class CombinerEngine:
             rec.shutdown = True
             self._advance(rec, DONE)
         # release any get parked on a stop flag the combiner will not lower
-        with self._reg_lock:
-            regs = list(self._reg_list)
-        for reg in regs:
+        for reg in self._regs:
             reg.cond.post()
 
     def shutdown(self) -> None:

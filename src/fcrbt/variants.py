@@ -18,7 +18,6 @@ from .runtime import (
     INSERT,
     CombinerEngine,
     EngineStats,
-    StopWorldScope,
     VariantConfig,
     WaitStrategy,
     insert_refused,
@@ -27,20 +26,15 @@ from .runtime import (
 S = WaitStrategy
 
 VARIANTS = {
-    "V1": VariantConfig("V1", S.SLEEP_AWAKE, S.SLEEP_AWAKE, False, False,
-                        StopWorldScope.NONE),
-    "V2": VariantConfig("V2", S.SPIN, S.SLEEP_AWAKE, False, False,
-                        StopWorldScope.NONE),
-    "V3": VariantConfig("V3", S.SPIN, S.BACKOFF_SPIN, False, False,
-                        StopWorldScope.NONE),
-    "V4": VariantConfig("V4", S.SPIN, S.SPIN, False, False, StopWorldScope.NONE),
-    "V5": VariantConfig("V5", S.SPIN, S.SLEEP_AWAKE, True, False,
-                        StopWorldScope.GLOBAL),
+    "V1": VariantConfig("V1", S.SLEEP_AWAKE, S.SLEEP_AWAKE, False, False),
+    "V2": VariantConfig("V2", S.SPIN, S.SLEEP_AWAKE, False, False),
+    "V3": VariantConfig("V3", S.SPIN, S.BACKOFF_SPIN, False, False),
+    "V4": VariantConfig("V4", S.SPIN, S.SPIN, False, False),
+    "V5": VariantConfig("V5", S.SPIN, S.SLEEP_AWAKE, True, False),
     # V6 gets never touch the queue, so its get_wait slot is inert.
-    "V6": VariantConfig("V6", S.SPIN, S.SLEEP_AWAKE, True, True,
-                        StopWorldScope.PER_THREAD),
+    "V6": VariantConfig("V6", S.SPIN, S.SLEEP_AWAKE, True, True),
     "FutureWork": VariantConfig("FutureWork", S.SLEEP_AWAKE, S.SLEEP_AWAKE, True,
-                                True, StopWorldScope.PER_THREAD, future_work=True),
+                                True, future_work=True),
 }
 
 ENGINE_VARIANTS = ("V1", "V2", "V3", "V4", "V5", "V6")

@@ -2,7 +2,14 @@ import time
 
 import pytest
 
+from fcrbt.runtime import CALLER_EXECUTES
 from fcrbt.variants import make_variant
+
+
+def in_flight(engine):
+    """Delegated ops in flight: registrations whose record is at
+    CALLER_EXECUTES."""
+    return sum(reg.record.status == CALLER_EXECUTES for reg in engine._regs)
 
 
 @pytest.fixture

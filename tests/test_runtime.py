@@ -9,6 +9,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from conftest import in_flight
 
 from fcrbt import runtime
 from fcrbt.ops import OpKind
@@ -90,12 +91,12 @@ def test_dead_thread_ident_reuse_reclaims_slot(managed_map):
     ident = threading.get_ident()
     stale = ThreadRegistration(ident, dead)
     engine.registrations[ident] = stale
-    engine._reg_list.append(stale)
+    engine._regs += (stale,)
 
     reg = m.register_thread()
     assert reg is not stale
     assert reg.thread is threading.current_thread()
-    assert stale not in engine._reg_list
+    assert stale not in engine._regs
     assert len(engine.registrations) == 1
     with pytest.raises(RegistrationError, match="already registered"):
         m.register_thread()  # a live double registration is still an error
@@ -403,10 +404,10 @@ def test_delegated_get_is_executed_by_the_caller(managed_map):
 
 @pytest.mark.parametrize("which", ["V1", "V5", "V6"])
 def test_gate_release_posts_the_parked_combiner(managed_map, poll, monkeypatch, which):
-    # A get holds the accounting a write's gate waits on: V1 and V5
-    # pending_ops, V6 the reader's pending mark. With the backstop at 10 s
-    # only the releasing caller's post can end the combiner's gate park in
-    # time.
+    # A get holds what a write's gate waits on: in V1 and V5 its record at
+    # CALLER_EXECUTES, in V6 the reader's pending mark. With the backstop at
+    # 10 s only the releasing caller's post can end the combiner's gate park
+    # in time.
     monkeypatch.setattr(runtime, "BACKSTOP_MS", (10_000,))
     m = managed_map(which, max_nodes=4)
     engine = m.engine
@@ -615,7 +616,7 @@ def test_counters_return_to_zero_at_quiescence(managed_map, which):
         if i % 3 == 0:
             m.delete((i + 5) % 24)
     engine = m.engine
-    assert engine.pending_ops.load() == 0
+    assert in_flight(engine) == 0
     assert all(not reg.pending_mark for reg in engine.registrations.values())
 
 

@@ -1,10 +1,12 @@
 """Deterministic interleavings: soft-write visibility points, the bypass-get
-vs stop-world race, pending-get gating of writes, and stop-world draining."""
+vs stop-world race, the drain of delegated ops before writes, and stop-world
+draining."""
 
 import threading
 from types import SimpleNamespace
 
 import pytest
+from conftest import in_flight
 
 from fcrbt.schedules import (
     SCENARIOS,
@@ -109,7 +111,7 @@ def test_v1_write_waits_until_no_get_is_in_flight(managed_map, poll):
     poll(readers_held[0].is_set, what="first reader executing")
     r2, b2 = run_in_thread(lambda: reader(2))
     poll(readers_held[1].is_set, what="second reader executing")
-    assert engine.pending_ops.load() == 2  # both delegated and in flight
+    assert in_flight(engine) == 2  # both delegated and in flight
 
     def writer():
         m.register_thread()
@@ -123,19 +125,19 @@ def test_v1_write_waits_until_no_get_is_in_flight(managed_map, poll):
     # the write is claimed but must not run while either get is in flight
     assert "result" not in wb
     reader_gates[0].set()
-    poll(lambda: engine.pending_ops.load() == 1, what="first get released")
+    poll(lambda: in_flight(engine) == 1, what="first get released")
     assert "result" not in wb
     reader_gates[1].set()
 
     assert join_get(r1, b1) == 10
     assert join_get(r2, b2) == 20
     assert join_get(w, wb) is True
-    assert engine.pending_ops.load() == 0
+    assert in_flight(engine) == 0
     assert m.get(1) is None
 
 
 # ---------------------------------------------------------------------------
-# stop-world draining and holding (global scope)
+# stop-world draining and holding (V5)
 # ---------------------------------------------------------------------------
 
 
@@ -161,7 +163,7 @@ def test_v5_stop_world_waits_for_all_pending_ops(managed_map, poll):
         return m.get(5)
 
     readers = [run_in_thread(reader) for _ in range(3)]
-    poll(lambda: engine.pending_ops.load() == 3, what="three delegated gets")
+    poll(lambda: in_flight(engine) == 3, what="three delegated gets")
 
     sw0 = m.stats.stop_worlds
 
@@ -176,7 +178,7 @@ def test_v5_stop_world_waits_for_all_pending_ops(managed_map, poll):
     for i, expect_left in [(0, 2), (1, 1)]:
         gates[i].set()
         poll(
-            lambda n=expect_left: engine.pending_ops.load() == n,
+            lambda n=expect_left: in_flight(engine) == n,
             what=f"{expect_left} ops left",
         )
         assert "result" not in wb
@@ -185,8 +187,55 @@ def test_v5_stop_world_waits_for_all_pending_ops(managed_map, poll):
     assert join_get(w, wb) is True
     for t, box in readers:
         assert join_get(t, box) == 50
-    assert engine.pending_ops.load() == 0
+    assert in_flight(engine) == 0
     assert m.get(7) == 70
+
+
+def test_v6_structural_write_waits_for_a_delegated_soft_write(managed_map, poll):
+    # A V6 soft delete runs in its caller and is counted only by its record
+    # at CALLER_EXECUTES; a physical insert must not mutate until it is done.
+    m = managed_map("V6", max_threads=8)
+    engine = m.engine
+    m.register_thread()
+    m.insert(1, 10)
+
+    held = threading.Event()
+    release = threading.Event()
+
+    def before_mark_flip(key, to_deleted):
+        if key == 1 and to_deleted:
+            held.set()
+            assert release.wait(GATE)
+
+    m.tree.test_hooks = SimpleNamespace(before_mark_flip=before_mark_flip)
+
+    def deleter():
+        m.register_thread()
+        return m.delete(1)
+
+    d, db = run_in_thread(deleter)
+    poll(held.is_set, what="soft delete held before its mark flip")
+    assert in_flight(engine) == 1
+    sw0 = m.stats.stop_worlds
+
+    def inserter():
+        m.register_thread()
+        return m.insert(2, 20)  # physically absent: a structural write
+
+    w, wb = run_in_thread(inserter)
+    poll(lambda: m.stats.stop_worlds == sw0 + 1, what="stop-world entry")
+    # A write past the drain makes epoch odd; one held by it parks the combiner.
+    poll(lambda: engine._gate_parked or engine.epoch & 1, what="write at the drain")
+    assert engine.epoch % 2 == 0
+    assert "result" not in wb
+    release.set()
+
+    assert join_get(d, db) is True
+    assert join_get(w, wb) is True
+    assert in_flight(engine) == 0
+    assert m.get(1) is None
+    assert m.get(2) == 20
+    assert m.validate().ok
 
 
 def test_ops_arriving_during_stop_world_complete_after_it(managed_map, poll):

@@ -6,14 +6,13 @@ import threading
 from types import SimpleNamespace
 
 import pytest
+from conftest import in_flight
 
 from fcrbt.ops import OpKind
 from fcrbt.oracle import OracleMap
 from fcrbt.runtime import (
     ACT_SOFT_DELETE,
     ACT_SOFT_INSERT,
-    StopWorldScope,
-    VariantConfig,
     WaitStrategy,
 )
 from fcrbt.variants import (
@@ -35,23 +34,17 @@ from fcrbt.variants import (
 def test_variant_table_wait_strategies():
     S = WaitStrategy
     expected = {
-        # (get wait, write wait, soft ops, gets bypass queue, stop-world scope)
-        "V1": (S.SLEEP_AWAKE, S.SLEEP_AWAKE, False, False, StopWorldScope.NONE),
-        "V2": (S.SPIN, S.SLEEP_AWAKE, False, False, StopWorldScope.NONE),
-        "V3": (S.SPIN, S.BACKOFF_SPIN, False, False, StopWorldScope.NONE),
-        "V4": (S.SPIN, S.SPIN, False, False, StopWorldScope.NONE),
-        "V5": (S.SPIN, S.SLEEP_AWAKE, True, False, StopWorldScope.GLOBAL),
-        "V6": (S.SPIN, S.SLEEP_AWAKE, True, True, StopWorldScope.PER_THREAD),
+        # (get wait, write wait, soft ops, gets bypass queue)
+        "V1": (S.SLEEP_AWAKE, S.SLEEP_AWAKE, False, False),
+        "V2": (S.SPIN, S.SLEEP_AWAKE, False, False),
+        "V3": (S.SPIN, S.BACKOFF_SPIN, False, False),
+        "V4": (S.SPIN, S.SPIN, False, False),
+        "V5": (S.SPIN, S.SLEEP_AWAKE, True, False),
+        "V6": (S.SPIN, S.SLEEP_AWAKE, True, True),
     }
     for vid, row in expected.items():
         cfg = VARIANTS[vid]
-        got = (
-            cfg.get_wait,
-            cfg.write_wait,
-            cfg.soft_ops,
-            cfg.gets_bypass_queue,
-            cfg.stop_world_scope,
-        )
+        got = (cfg.get_wait, cfg.write_wait, cfg.soft_ops, cfg.gets_bypass_queue)
         assert got == row, vid
         assert cfg.future_work is False
 
@@ -61,7 +54,6 @@ def test_future_work_config():
     assert cfg.future_work is True
     assert cfg.soft_ops is True
     assert cfg.gets_bypass_queue is True
-    assert cfg.stop_world_scope is StopWorldScope.PER_THREAD
 
 
 def test_variant_name_tuples():
@@ -70,28 +62,13 @@ def test_variant_name_tuples():
     assert OPTIONAL_VARIANTS == ("FutureWork",)
 
 
-def test_config_rejects_soft_ops_without_stop_world_scope():
-    with pytest.raises(ValueError):
-        VariantConfig(
-            id="bad",
-            get_wait=WaitStrategy.SPIN,
-            write_wait=WaitStrategy.SPIN,
-            soft_ops=True,
-            gets_bypass_queue=False,
-            stop_world_scope=StopWorldScope.NONE,
-        )
-
-
 @pytest.mark.parametrize(
     "base,changes",
     [
-        # bypassing gets are fenced off a stop-world only by per-thread flags;
-        # under a global stop-world they overlapped its mutations
-        ("V5", dict(gets_bypass_queue=True)),
         # the combiner executes soft actions only
         ("FutureWork", dict(soft_ops=False)),
     ],
-    ids=["bypass-global", "future-work-hard"],
+    ids=["future-work-hard"],
 )
 def test_config_rejects_unsafe_shapes(base, changes):
     with pytest.raises(ValueError):
@@ -183,7 +160,7 @@ def test_v5_delete_absent_key_answers_without_delegation(managed_map):
     assert m.delete(77) is False
     assert reg.record.action == -1  # combiner answered; nothing delegated
     assert m.stats.stop_worlds == sw0
-    assert m.engine.pending_ops.load() == 0
+    assert in_flight(m.engine) == 0
 
 
 def test_v5_insert_on_soft_deleted_key_is_delegated_soft_insert(managed_map):
@@ -211,7 +188,7 @@ def test_v5_gets_are_delegated_and_counted(managed_map):
     reg = m.register_thread()
     m.insert(5, 50)
     assert m.get(5) == 50
-    assert m.engine.pending_ops.load() == 0  # released on completion
+    assert in_flight(m.engine) == 0  # released on completion
 
 
 # ---------------------------------------------------------------------------
